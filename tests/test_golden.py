@@ -1,0 +1,119 @@
+"""Golden digests: the bytes of small pinned runs must not change.
+
+Each case writes a CSV through the public runner API and compares its
+SHA-256 with a recorded value. Dimensions stay at d <= 3, where BLAS
+threading cannot change the floating-point results. A refactor of the
+round loops must keep every digest; a deliberate change in output must
+state itself and re-record the affected digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bandit_lab.runner import (
+    PolicySpec,
+    ReplayDataset,
+    parse_run_config,
+    run_diagnostics,
+    run_replay,
+    run_simulation,
+    write_diagnostics_csv,
+    write_records_csv,
+)
+
+ALL_POLICIES = [
+    "uniform",
+    {"name": "scripted", "params": {"arms": [2, 0, 1, 1]}},
+    "noisy_linrel",
+    {"name": "greedy", "params": {"tau": 6}},
+    "linucb",
+    {"name": "gradient_linrel", "params": {"mc_samples": 20}},
+    "oracle_tc",
+    "oracle_cf",
+    {"name": "oracle_gd", "params": {"mc_samples": 20}},
+]
+
+IDENTICAL_ENV = {
+    "K": 3,
+    "d": 2,
+    "T": 24,
+    "theta_star": [0.7, -0.4],
+    "feature_distribution": {
+        "kind": "iid",
+        "family": {
+            "name": "mixture",
+            "weight": 0.3,
+            "first": {"name": "uniform", "low": 1.0, "high": 2.0},
+            "second": {"name": "uniform", "low": -2.0, "high": -1.0},
+        },
+    },
+    "noise": {"mode": "identical", "covariance": {"diag": [0.2, 0.3]}},
+    "reward_noise_sigma": 0.1,
+}
+
+PER_ARM_ENV = {
+    "K": 4,
+    "d": 3,
+    "T": 24,
+    "theta_star": "random",
+    "feature_distribution": {
+        "kind": "multivariate_gaussian",
+        "covariance": [[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]],
+    },
+    "noise": {"mode": "per_arm", "covariance": [[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]]},
+    "reward_noise_sigma": 0.2,
+}
+
+EXPECTED = {
+    "simulation_identical": "a1fe06eb2a1be27f61db5a7310d78f746597ee1ae0cf05e63a436c3cdeef358a",
+    "simulation_per_arm": "54da07656b10a28d4872e3d38d082f00ce63e316c7c221720eb4d172e7427118",
+    "replay": "c9a5b5bb8a0c2b5b6a9872b7070a31d7bdc4d76cf1f5301722ae40d9d8fa7476",
+    "diagnostics": "0ee9a71d297b0be6d534605c92e5ea6bf76e6a7ae2cbf38b5f5089c1b74c5cdc",
+}
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def config(env, policies):
+    return parse_run_config({"environment": env, "policies": policies, "seeds": [0, 3]})
+
+
+def replay_dataset() -> ReplayDataset:
+    rng = np.random.default_rng(11)
+    contexts = rng.standard_normal((30, 3, 3))
+    rewards = contexts @ np.array([0.5, -0.2, 0.8]) + 0.1 * rng.standard_normal((30, 3))
+    return ReplayDataset(contexts=contexts, rewards=rewards)
+
+
+@pytest.mark.parametrize("name, env", [("simulation_identical", IDENTICAL_ENV), ("simulation_per_arm", PER_ARM_ENV)])
+def test_simulation_results_digest(tmp_path, name, env):
+    path = tmp_path / "results.csv"
+    write_records_csv(path, run_simulation(config(env, ALL_POLICIES)))
+    assert digest(path) == EXPECTED[name]
+
+
+def test_replay_results_digest(tmp_path):
+    specs = [PolicySpec(name="scripted", params={"arms": [1, 2]})] + [
+        PolicySpec(name=name, params=params)
+        for name, params in [
+            ("uniform", {}),
+            ("noisy_linrel", {}),
+            ("greedy", {}),
+            ("linucb", {}),
+            ("gradient_linrel", {"mc_samples": 20}),
+        ]
+    ]
+    path = tmp_path / "results.csv"
+    write_records_csv(path, run_replay(replay_dataset(), specs, seeds=[0, 3]))
+    assert digest(path) == EXPECTED["replay"]
+
+
+def test_diagnostics_digest(tmp_path):
+    env = dict(IDENTICAL_ENV, T=64)
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(path, run_diagnostics(config(env, ["noisy_linrel"])))
+    assert digest(path) == EXPECTED["diagnostics"]
