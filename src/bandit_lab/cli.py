@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from .runner import (
     DataFormatError,
     emit_outputs,
     load_run_config,
+    read_json_object,
     read_replay_csv,
     run_diagnostics,
     run_replay,
@@ -86,19 +86,8 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return doc
-
-
 def _cmd_gradtable(args) -> int:
-    doc = _load_json(args.config)
+    doc = read_json_object(args.config)
     names = doc.get("distributions", list(TABLE_DISTRIBUTIONS))
     try:
         distributions = [(name, TABLE_DISTRIBUTIONS[name]()) for name in names]

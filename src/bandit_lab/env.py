@@ -334,8 +334,8 @@ class EnvironmentConfig:
         if self.noise.dim != self.d:
             raise ValueError("noise covariance dimension does not match d")
         self.feature_dist.covariance_matrix(self.d)  # dimension check
-        if self.reward_noise_sigma < 0:
-            raise ValueError("reward_noise_sigma must be nonnegative")
+        if not 0 <= self.reward_noise_sigma < math.inf:
+            raise ValueError("reward_noise_sigma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

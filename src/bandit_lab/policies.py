@@ -18,7 +18,6 @@ from .linalg import (
     cutoff_pinv_solve,
     eigendecompose,
     rank_threshold,
-    residual_projection_norm,
     truncated_pinv_apply,
 )
 
@@ -339,6 +338,10 @@ class RegretGradientLinRel(Policy):
             raise ValueError("mc_samples must be at least 1")
         self.estimator = NoisyLinRel(d, alpha_exponent)
         self.noise_cov = np.asarray(noise_cov, dtype=float)
+        try:  # regret_gradient draws N(0, noise_cov): fail before any round runs
+            np.linalg.cholesky((self.noise_cov + self.noise_cov.T) / 2.0)
+        except np.linalg.LinAlgError:
+            raise ValueError("noise covariance must be positive-definite") from None
         self.feature_sampler = feature_sampler
         self.step_size = step_size
         self.ucb_coeff = ucb_coeff

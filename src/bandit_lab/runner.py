@@ -9,12 +9,14 @@ CSV files.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import env as envmod
 from . import policies as polmod
+from .gradient import arm_set_sampler
 from .linalg import spectral_norm
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "emit_outputs",
     "environment_for_seed",
     "load_run_config",
+    "read_json_object",
     "read_records_csv",
     "run_diagnostics",
     "run_replay",
@@ -167,14 +170,28 @@ def parse_noise_model(spec: dict, d: int) -> envmod.NoiseModel:
         raise ConfigError(f"bad noise model: {exc}") from exc
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse a JSON run configuration file, validating its schema."""
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json_object(path) -> dict:
+    """Read a JSON file holding one object. NaN, Infinity and overflowing numbers are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # malformed JSON, bytes that are not UTF-8, or a non-finite number
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_run_config(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return doc
+
+
+def load_run_config(path) -> RunConfig:
+    """Parse a JSON run configuration file, validating its schema."""
+    return parse_run_config(read_json_object(path))
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -202,6 +219,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     for spec in policies:
         if spec.name not in POLICY_BUILDERS:
             raise ConfigError(f"unknown policy {spec.name!r}")
+        for key in spec.params:
+            if key not in POLICY_PARAMS.get(spec.name, ()):
+                raise ConfigError(f"unknown parameter {key!r} for policy {spec.name!r}")
     return cfg
 
 
@@ -212,7 +232,7 @@ def _parse_policy_specs(raw) -> tuple:
     for item in raw:
         if isinstance(item, str):
             specs.append(PolicySpec(name=item))
-        elif isinstance(item, dict) and "name" in item:
+        elif isinstance(item, dict) and "name" in item and isinstance(item.get("params", {}), dict):
             specs.append(
                 PolicySpec(
                     name=item["name"],
@@ -284,14 +304,7 @@ class PolicyContext:
 
 
 def _feature_sampler(ctx: PolicyContext):
-    if ctx.feature_dist is None:
-        return None
-    dist, k_arms, d = ctx.feature_dist, ctx.K, ctx.d
-
-    def sampler(rng, n: int) -> np.ndarray:
-        return dist.sample(rng, n * k_arms, d).reshape(n, k_arms, d)
-
-    return sampler
+    return None if ctx.feature_dist is None else arm_set_sampler(ctx.feature_dist, ctx.K, ctx.d)
 
 
 def _require_theta_star(ctx: PolicyContext, name: str) -> np.ndarray:
@@ -344,6 +357,16 @@ POLICY_BUILDERS = {
     ),
 }
 
+# The params each builder reads; parse_run_config rejects any other key.
+POLICY_PARAMS = {
+    "scripted": ("arms",),
+    "noisy_linrel": ("alpha_exponent",),
+    "greedy": ("tau",),
+    "linucb": ("ucb_alpha",),
+    "gradient_linrel": ("alpha_exponent", "step_size", "ucb_coeff", "mc_samples", "fd_step"),
+    "oracle_gd": ("step_size", "mc_samples", "fd_step"),
+}
+
 
 def build_policy(spec: PolicySpec, ctx: PolicyContext) -> polmod.Policy:
     try:
@@ -374,6 +397,39 @@ def _cosine_distance(theta, reference) -> float | None:
     return float(1.0 - theta @ reference / (norm_t * norm_r))
 
 
+def _play(spec: PolicySpec, seed: int, ctx_fields: dict, rounds, payoff):
+    """The round core: build the spec's policy for a seed, then play every round.
+
+    ``rounds`` yields (t, x, info) with x the observed (K, d) contexts, and
+    ``payoff(info, arm)`` is the chosen arm's reward. Each round runs
+    select -> payoff -> observe and then yields (policy, info, arm, y) to the
+    caller's bookkeeping.
+    """
+    policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
+    policy = build_policy(spec, PolicyContext(rng=policy_rng, **ctx_fields))
+    noise_cov = ctx_fields["noise_cov"]
+    for t, x, info in rounds:
+        arm = policy.select(t, x, policy_rng)
+        y = payoff(info, arm)
+        policy.observe(t, arm, x[arm], y, noise_cov)
+        yield policy, info, arm, y
+
+
+def _play_environment(spec: PolicySpec, seed: int, environment: envmod.EnvironmentConfig):
+    """_play on a simulated environment; each round's info is its RoundContext."""
+    ctx_fields = dict(
+        d=environment.d,
+        K=environment.K,
+        T=environment.T,
+        noise_cov=environment.noise.covariance,
+        theta_star=environment.theta_star,
+        feature_dist=environment.feature_dist,
+    )
+    contexts = (envmod.sample_round(environment, t) for t in range(1, environment.T + 1))
+    rounds = ((round_ctx.t, round_ctx.x, round_ctx) for round_ctx in contexts)
+    return _play(spec, seed, ctx_fields, rounds, lambda round_ctx, arm: envmod.reward(environment, round_ctx, arm))
+
+
 def run_simulation(cfg: RunConfig):
     """Yield one RunRecord per (policy, seed, round), in that order.
 
@@ -391,31 +447,14 @@ def run_simulation(cfg: RunConfig):
                 environment.noise.covariance,
                 theta_star,
             )
-            policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
-            policy = build_policy(
-                spec,
-                PolicyContext(
-                    d=environment.d,
-                    K=environment.K,
-                    T=environment.T,
-                    noise_cov=environment.noise.covariance,
-                    rng=policy_rng,
-                    theta_star=theta_star,
-                    feature_dist=environment.feature_dist,
-                ),
-            )
             cum = 0.0
-            for t in range(1, environment.T + 1):
-                round_ctx = envmod.sample_round(environment, t)
-                arm = policy.select(t, round_ctx.x, policy_rng)
-                y = envmod.reward(environment, round_ctx, arm)
-                policy.observe(t, arm, round_ctx.x[arm], y, environment.noise.covariance)
+            for policy, round_ctx, arm, y in _play_environment(spec, seed, environment):
                 inst = envmod.instantaneous_regret(round_ctx, arm, theta_star)
                 cum += inst
                 rel = envmod.relative_regret(round_ctx, arm, theta_bar, theta_star) if want_rel else None
                 cos = _cosine_distance(policy.current_theta(), theta_star) if want_cos else None
                 yield RunRecord(
-                    t=t,
+                    t=round_ctx.t,
                     policy=spec.label,
                     seed=seed,
                     arm=arm,
@@ -532,33 +571,18 @@ def run_replay(dataset: ReplayDataset, policy_specs, seeds):
     Policies see only the K contexts per round and the reward of the arm
     they pick; regret is measured against the per-round maximum reward.
     """
-    specs = tuple(policy_specs)
-    noise_cov = dataset.noise_covariance()
+    ctx_fields = dict(d=dataset.d, K=dataset.K, T=dataset.rounds, noise_cov=dataset.noise_covariance())
+    rounds = [(idx + 1, x, idx) for idx, x in enumerate(dataset.contexts)]
     row_best = dataset.rewards.max(axis=1)
-    for spec in specs:
+    for spec in policy_specs:
         for seed in seeds:
-            policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
-            policy = build_policy(
-                spec,
-                PolicyContext(
-                    d=dataset.d,
-                    K=dataset.K,
-                    T=dataset.rounds,
-                    noise_cov=noise_cov,
-                    rng=policy_rng,
-                ),
-            )
             cum = 0.0
-            for idx in range(dataset.rounds):
-                t = idx + 1
-                x = dataset.contexts[idx]
-                arm = policy.select(t, x, policy_rng)
-                y = float(dataset.rewards[idx, arm])
-                policy.observe(t, arm, x[arm], y, noise_cov)
+            # rewards.item(idx, arm) is the logged reward as a Python float
+            for _, idx, arm, y in _play(spec, seed, ctx_fields, rounds, dataset.rewards.item):
                 inst = float(row_best[idx] - y)
                 cum += inst
                 yield RunRecord(
-                    t=t,
+                    t=idx + 1,
                     policy=spec.label,
                     seed=seed,
                     arm=arm,
@@ -589,43 +613,24 @@ def run_diagnostics(cfg: RunConfig):
             raise ConfigError("diagnostics require identical-noise environments")
         noise_cov = environment.noise.covariance
         theta_star = environment.theta_star
-        policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
-        policy = build_policy(
-            spec,
-            PolicyContext(
-                d=environment.d,
-                K=environment.K,
-                T=environment.T,
-                noise_cov=noise_cov,
-                rng=policy_rng,
-                theta_star=theta_star,
-                feature_dist=environment.feature_dist,
-            ),
-        )
         d = environment.d
         n1 = np.zeros((d, d))
         n2 = np.zeros((d, d))
         n3 = np.zeros(d)
         checkpoint = 1
-        for t in range(1, environment.T + 1):
-            round_ctx = envmod.sample_round(environment, t)
-            arm = policy.select(t, round_ctx.x, policy_rng)
-            y = envmod.reward(environment, round_ctx, arm)
-            policy.observe(t, arm, round_ctx.x[arm], y, noise_cov)
+        for _, round_ctx, arm, y in _play_environment(spec, seed, environment):
             eps = round_ctx.eps[0]
             n1 += np.outer(round_ctx.z[arm], eps)
             n2 += np.outer(eps, eps) - noise_cov
             n3 += round_ctx.x[arm] * (y - float(round_ctx.z[arm] @ theta_star))
-            if t == checkpoint:
+            if round_ctx.t == checkpoint:
                 checkpoint *= 2
-                norm1, norm2 = spectral_norm(n1), spectral_norm(n2)
-                assert spectral_norm(n1 + n2) <= norm1 + norm2 + 1e-9
                 yield DiagnosticsRecord(
-                    t=t,
+                    t=round_ctx.t,
                     policy=spec.label,
                     seed=seed,
-                    norm_n1=norm1,
-                    norm_n2=norm2,
+                    norm_n1=spectral_norm(n1),
+                    norm_n2=spectral_norm(n2),
                     norm_n3=float(np.linalg.norm(n3)),
                 )
 

@@ -67,6 +67,34 @@ class TestRunCommand:
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_nan_reward_noise_sigma_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["reward_noise_sigma"] = float("nan")
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_covariance_entry_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["noise"]["covariance"] = [[float("inf"), 0.0], [0.0, 0.3]]
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "Infinity" in capsys.readouterr().err
+
+    def test_overflowing_number_exits_config(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        cfg.write_text(cfg.read_text().replace('"reward_noise_sigma": 0.1', '"reward_noise_sigma": 1e400'))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_misspelled_policy_param_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "linucb", "params": {"ucb_alpah": 9}}])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'ucb_alpah'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_exits_io(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         blocker = tmp_path / "blocker"
@@ -95,6 +123,23 @@ class TestReplayCommand:
         data.write_text(replay_text())
         assert main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_constant_context_column(self, tmp_path, capsys):
+        # an intercept column has zero variance, so the default noise covariance is singular
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "round,arm_index,context_0,context_1,reward\n"
+            "0,0,1.0,1.0,1.0\n0,1,0.0,1.0,0.2\n"
+            "1,0,0.5,1.0,0.3\n1,1,1.0,1.0,0.8\n"
+            "2,0,0.2,1.0,0.5\n2,1,0.3,1.0,0.1\n"
+        )
+        args = ["replay", "--data", str(data), "--out", str(tmp_path / "o")]
+        cfg = write_config(tmp_path / "ok.json", policies=["noisy_linrel", "linucb", "greedy"])
+        assert main(args + ["--config", str(cfg)]) == EXIT_OK
+        assert len((tmp_path / "o" / "results.csv").read_text().strip().split("\n")) == 1 + 3 * 2 * 3
+        cfg = write_config(tmp_path / "grad.json", policies=[{"name": "gradient_linrel", "params": {"mc_samples": 20}}])
+        assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert "positive-definite" in capsys.readouterr().err
+
 
 class TestGradtableCommand:
     def test_writes_two_column_csv(self, tmp_path):
@@ -116,6 +161,11 @@ class TestGradtableCommand:
         assert [line.split(",")[0] for line in lines[1:]] == ["gaussian", "lognormal"]
         for line in lines[1:]:
             float(line.split(",")[1])
+
+    def test_nan_fd_step_exits_config(self, tmp_path):
+        cfg = tmp_path / "grad.json"
+        cfg.write_text(json.dumps({"distributions": ["gaussian"], "fd_step": float("nan")}))
+        assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
 
     def test_unknown_distribution_exits_config(self, tmp_path):
         cfg = tmp_path / "grad.json"

@@ -134,6 +134,11 @@ class TestEnvironmentConfig:
         with pytest.raises(ValueError):
             make_config(theta_star=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_rejects_bad_reward_noise_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            make_config(reward_noise_sigma=sigma)
+
     def test_single_arm_allowed(self):
         cfg = make_config(K=1)
         ctx = sample_round(cfg, 1)

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from bandit_lab.env import bar_theta_arm, sample_round
+from bandit_lab.linalg import spectral_norm
 from bandit_lab.policies import bayes_optimal_theta
 from bandit_lab.runner import (
+    POLICY_BUILDERS,
+    POLICY_PARAMS,
     ConfigError,
+    PolicyContext,
     PolicySpec,
     RunConfig,
     emit_outputs,
@@ -73,6 +77,42 @@ class TestConfigParsing:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
             make_config(policies=({"name": "uniform"}, {"name": "uniform"}))
+
+    def test_unknown_policy_param_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="'ucb_alpah'"):
+            make_config(policies=({"name": "linucb", "params": {"ucb_alpah": 9}},))
+
+    def test_params_must_be_an_object(self):
+        with pytest.raises(ConfigError):
+            make_config(policies=({"name": "linucb", "params": [0.5]},))
+
+    @pytest.mark.parametrize("name", sorted(POLICY_BUILDERS))
+    def test_declared_params_are_the_keys_the_builder_reads(self, name):
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return default
+
+            def __getitem__(self, key):
+                read.add(key)
+                raise KeyError(key)
+
+        read = set()
+        env = environment_for_seed(base_env_spec(), 0)
+        ctx = PolicyContext(
+            d=env.d,
+            K=env.K,
+            T=env.T,
+            noise_cov=env.noise.covariance,
+            rng=np.random.default_rng(0),
+            theta_star=env.theta_star,
+            feature_dist=env.feature_dist,
+        )
+        try:
+            POLICY_BUILDERS[name](ctx, Recording())
+        except ValueError:  # a default may be unusable (scripted needs arms); the keys were read first
+            pass
+        assert read == set(POLICY_PARAMS.get(name, ()))
 
     def test_random_theta_star_per_seed(self):
         a = environment_for_seed(base_env_spec(theta_star="random"), 0)
@@ -307,3 +347,31 @@ class TestDiagnostics:
         )
         for rec in run_diagnostics(cfg):
             assert rec.norm_n3 == pytest.approx(0.0, abs=1e-12)
+
+    def test_recomputed_sums_match_and_obey_the_triangle_inequality(self):
+        cfg = make_config(
+            policies=("linucb",),
+            seeds=(0, 1),
+            noise={"mode": "identical", "covariance": {"diag": [0.2, 0.3]}},
+            T=64,
+        )
+        records = list(run_diagnostics(cfg))
+        arms = {(rec.seed, rec.t): (rec.arm, rec.reward) for rec in run_simulation(cfg)}
+        for seed in cfg.seeds:
+            environment = environment_for_seed(cfg.env_spec, seed)
+            noise_cov = environment.noise.covariance
+            n1, n2, n3 = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2)
+            expected = {}
+            for t in range(1, environment.T + 1):
+                round_ctx = sample_round(environment, t)
+                arm, y = arms[(seed, t)]
+                eps = round_ctx.eps[0]
+                n1 += np.outer(round_ctx.z[arm], eps)
+                n2 += np.outer(eps, eps) - noise_cov
+                n3 += round_ctx.x[arm] * (y - float(round_ctx.z[arm] @ environment.theta_star))
+                norm1, norm2 = spectral_norm(n1), spectral_norm(n2)
+                assert spectral_norm(n1 + n2) <= norm1 + norm2 + 1e-9
+                expected[t] = (norm1, norm2, float(np.linalg.norm(n3)))
+            for rec in records:
+                if rec.seed == seed:
+                    assert (rec.norm_n1, rec.norm_n2, rec.norm_n3) == expected[rec.t]
