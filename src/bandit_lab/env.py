@@ -6,6 +6,7 @@ bitwise-identically in isolation and in any order.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,37 @@ def keyed_rng(seed: int, t: int = 0, lane: int = 0) -> np.random.Generator:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_ZEROS4 = (0, 0, 0, 0)
+
+
+class _RekeyedStream(threading.local):
+    """One Philox generator per thread, re-keyed for each short-lived per-round draw.
+
+    Setting a Philox's state to a key with a zero counter and an empty
+    buffer gives exactly the draws of a fresh ``keyed_rng`` for that key, at
+    under a tenth of the cost of building one. The generator is handed only to
+    callees that finish with it before the call that re-keyed it returns.
+    """
+
+    def __init__(self):
+        self.bit_generator = np.random.Philox(0)
+        self.generator = np.random.Generator(self.bit_generator)
+
+    def __call__(self, seed: int, t: int, lane: int) -> np.random.Generator:
+        self.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS4, "key": (seed & _MASK64, ((t << 3) | lane) & _MASK64)},
+            "buffer": _ZEROS4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self.generator
+
+
+_round_stream = _RekeyedStream()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +243,13 @@ class MixtureFamily:
 # ---------------------------------------------------------------------------
 
 
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor; raises ValueError unless cov is finite and positive-definite."""
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance entries must be finite")
+    return np.linalg.cholesky(cov)
+
+
 @dataclass(frozen=True)
 class FeatureDistribution:
     """Hidden-feature law: full multivariate Gaussian or i.i.d. coordinates."""
@@ -219,14 +258,18 @@ class FeatureDistribution:
     covariance: np.ndarray | None = None
     family: object | None = None
 
+    def __post_init__(self):
+        if self.kind == "multivariate_gaussian":
+            # Factored once, as in NoiseModel; the factor doubles as the
+            # positive-definite check.
+            object.__setattr__(self, "_chol", _cholesky(self.covariance))
+
     @classmethod
     def multivariate_gaussian(cls, covariance) -> "FeatureDistribution":
         cov = np.array(covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("covariance must be square")
-        cov = (cov + cov.T) / 2.0
-        np.linalg.cholesky(cov)  # positive-definite check
-        return cls(kind="multivariate_gaussian", covariance=cov)
+        return cls(kind="multivariate_gaussian", covariance=(cov + cov.T) / 2.0)
 
     @classmethod
     def iid(cls, family) -> "FeatureDistribution":
@@ -239,8 +282,7 @@ class FeatureDistribution:
         if self.kind == "multivariate_gaussian":
             if self.covariance.shape[0] != d:
                 raise ValueError("covariance dimension does not match d")
-            chol = np.linalg.cholesky(self.covariance)
-            return rng.standard_normal((n, d)) @ chol.T
+            return rng.standard_normal((n, d)) @ self._chol.T
         return self.family.sample(rng, (n, d))
 
     def covariance_matrix(self, d: int) -> np.ndarray:
@@ -255,6 +297,30 @@ class FeatureDistribution:
 # ---------------------------------------------------------------------------
 # Noise model and environment configuration
 # ---------------------------------------------------------------------------
+
+_MIN_ACCEPTANCE = 1e-3  # least admissible chance that a noise draw lands in the truncation ball
+
+
+def _acceptance_bound(eigenvalues: np.ndarray, radius: float) -> float:
+    """Chernoff upper bound on P(|eps| <= radius) for eps ~ N(0, C), C with these eigenvalues.
+
+    For every s >= 0, P(sum_i l_i g_i^2 <= r^2) <= exp(s r^2 - sum_i log(1 + 2 s l_i) / 2).
+    The exponent is convex in s with its minimum in [0, d / (2 r^2)], found
+    by bisection on the sign of its slope.
+    """
+    r2 = float(radius) ** 2
+    if r2 >= eigenvalues.sum():
+        return 1.0
+    if r2 == 0.0:
+        return 0.0
+    lo, hi = 0.0, eigenvalues.size / (2.0 * r2)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if np.sum(eigenvalues / (1.0 + 2.0 * mid * eigenvalues)) > r2:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi * r2 - 0.5 * float(np.sum(np.log1p(2.0 * hi * eigenvalues))))
 
 
 @dataclass(frozen=True)
@@ -280,14 +346,21 @@ class NoiseModel:
         # The factor doubles as the positive-definite check. It and the
         # radius are fixed by the frozen fields, so sample() reuses them
         # rather than factoring the covariance every round.
-        object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
+        object.__setattr__(self, "_chol", _cholesky(cov))
         object.__setattr__(self, "covariance", cov)
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
+        if self.truncation_radius is not None and not self.truncation_radius > 0:
             raise ValueError("truncation_radius must be positive")
+        eigenvalues = np.linalg.eigvalsh(cov)
         if self.truncation_radius is None:
-            object.__setattr__(self, "_radius", 6.0 * math.sqrt(float(np.linalg.eigvalsh(cov)[-1])))
+            object.__setattr__(self, "_radius", 6.0 * math.sqrt(float(eigenvalues[-1])))
         else:
             object.__setattr__(self, "_radius", self.truncation_radius)
+        # sample() rejects draws outside the ball until every row fits, so a
+        # ball that almost never holds a draw would stall it.
+        if _acceptance_bound(eigenvalues, self._radius) < _MIN_ACCEPTANCE:
+            raise ValueError(
+                f"truncation radius {self._radius!r} holds a noise draw with probability below {_MIN_ACCEPTANCE}"
+            )
 
     @property
     def dim(self) -> int:
@@ -367,7 +440,7 @@ def sample_round(cfg: EnvironmentConfig, t: int, rng=None) -> RoundContext:
     if not 1 <= t <= cfg.T:
         raise ValueError(f"round {t} outside horizon 1..{cfg.T}")
     if rng is None:
-        rng = keyed_rng(cfg.seed, t, LANE_CONTEXT)
+        rng = _round_stream(cfg.seed, t, LANE_CONTEXT)
     z = cfg.feature_dist.sample(rng, cfg.K, cfg.d)
     if cfg.noise.mode == "identical":
         eps = np.tile(cfg.noise.sample(rng, 1), (cfg.K, 1))
@@ -388,7 +461,7 @@ def reward(cfg: EnvironmentConfig, round_ctx: RoundContext, arm: int, rng=None) 
     if cfg.reward_noise_sigma == 0.0:
         return mean
     if rng is None:
-        rng = keyed_rng(cfg.seed, round_ctx.t, LANE_REWARD)
+        rng = _round_stream(cfg.seed, round_ctx.t, LANE_REWARD)
     g = rng.standard_normal()
     while abs(g) > 4.0:
         g = rng.standard_normal()

@@ -427,6 +427,8 @@ class OracleGradient(Policy):
         mc_samples: int = 100,
         fd_step: float = 1e-2,
     ):
+        if step_size < 0:
+            raise ValueError("step_size must be nonnegative")
         self.theta_star = np.asarray(theta_star, dtype=float).copy()
         self.noise_cov = np.asarray(noise_cov, dtype=float)
         self.feature_sampler = feature_sampler

@@ -105,6 +105,7 @@ _FAMILY_BUILDERS = {
     "laplace": lambda p: envmod.LaplaceFamily(p.get("loc", 0.0), p.get("scale", 1.0)),
     "exponential": lambda p: envmod.ExponentialFamily(p.get("rate", 1.0)),
     "lognormal": lambda p: envmod.LogNormalFamily(p.get("mu", 0.0), p.get("sigma", 1.0)),
+    "mixture": lambda p: envmod.MixtureFamily(p["weight"], parse_family(p["first"]), parse_family(p["second"])),
 }
 
 
@@ -112,21 +113,14 @@ def parse_family(spec: dict):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"family spec must be an object with a 'name': {spec!r}")
     name = spec["name"]
-    if name == "mixture":
-        try:
-            return envmod.MixtureFamily(
-                weight=spec["weight"],
-                first=parse_family(spec["first"]),
-                second=parse_family(spec["second"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"mixture family missing field {exc}") from exc
     builder = _FAMILY_BUILDERS.get(name)
     if builder is None:
         raise ConfigError(f"unknown family {name!r}")
     try:
         return builder(spec)
-    except (KeyError, ValueError) as exc:
+    except ConfigError:  # a mixture component's own error
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # a missing field, a wrong type or a bad value
         raise ConfigError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
@@ -166,7 +160,7 @@ def parse_noise_model(spec: dict, d: int) -> envmod.NoiseModel:
             covariance=_parse_covariance(spec.get("covariance", np.eye(d)), d),
             truncation_radius=spec.get("truncation_radius"),
         )
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (TypeError, ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"bad noise model: {exc}") from exc
 
 
@@ -204,7 +198,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     seeds = doc.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("config needs a nonempty integer list 'seeds'")
-    metrics = tuple(doc.get("metrics", ["cum_regret", "rel_regret", "cos_dist"]))
+    metrics = doc.get("metrics", ["cum_regret", "rel_regret", "cos_dist"])
+    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+        raise ConfigError(f"'metrics' must be a list of metric names, got {metrics!r}")
     for m in metrics:
         if m not in ALLOWED_METRICS:
             raise ConfigError(f"unknown metric {m!r}")
@@ -212,7 +208,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         env_spec=env_spec,
         policies=policies,
         seeds=tuple(seeds),
-        metrics=metrics,
+        metrics=tuple(metrics),
         output_path=doc.get("output_path", ""),
     )
     environment_for_seed(cfg.env_spec, seeds[0])  # fail before any round runs
@@ -323,9 +319,17 @@ def _build_oracle_cf(ctx: PolicyContext, p: dict) -> polmod.FixedCoefficient:
     return polmod.FixedCoefficient(theta_bar, name="oracle_cf")
 
 
+def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
+    policy = polmod.ScriptedPolicy(p.get("arms", []))
+    out_of_range = [arm for arm in policy.arms if not 0 <= arm < ctx.K]
+    if out_of_range:
+        raise ConfigError(f"scripted arms {out_of_range} out of range 0..{ctx.K - 1}")
+    return policy
+
+
 POLICY_BUILDERS = {
     "uniform": lambda ctx, p: polmod.UniformRandom(),
-    "scripted": lambda ctx, p: polmod.ScriptedPolicy(p.get("arms", [])),
+    "scripted": _build_scripted,
     "noisy_linrel": lambda ctx, p: polmod.NoisyLinRel(
         ctx.d, alpha_exponent=p.get("alpha_exponent", polmod.ALPHA_EXPONENT_DEFAULT)
     ),
@@ -386,37 +390,42 @@ def build_policy(spec: PolicySpec, ctx: PolicyContext) -> polmod.Policy:
 # ---------------------------------------------------------------------------
 
 
-def _cosine_distance(theta, reference) -> float | None:
+def _cosine_distance(theta, reference, norm_r: float) -> float | None:
+    """Cosine distance of theta from reference, whose norm the caller passes; None if undefined."""
     if theta is None:
         return None
     theta = np.asarray(theta, dtype=float)
     norm_t = float(np.linalg.norm(theta))
-    norm_r = float(np.linalg.norm(reference))
     if norm_t == 0.0 or norm_r == 0.0 or not np.all(np.isfinite(theta)):
         return None
     return float(1.0 - theta @ reference / (norm_t * norm_r))
 
 
-def _play(spec: PolicySpec, seed: int, ctx_fields: dict, rounds, payoff):
-    """The round core: build the spec's policy for a seed, then play every round.
+def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
+    """The round core: build every spec's policy for a seed, then step them through the rounds together.
 
     ``rounds`` yields (t, x, info) with x the observed (K, d) contexts, and
-    ``payoff(info, arm)`` is the chosen arm's reward. Each round runs
-    select -> payoff -> observe and then yields (policy, info, arm, y) to the
-    caller's bookkeeping.
+    ``payoff(info, arm)`` is the chosen arm's reward. Every policy is built
+    before the first round, so one that cannot be built fails before any
+    round is played. In each round the policies take their turns in spec
+    order: select -> payoff -> observe, then (i, policy, info, arm, y) goes to
+    the caller's bookkeeping, i being the policy's index in ``specs``.
     """
-    policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
-    policy = build_policy(spec, PolicyContext(rng=policy_rng, **ctx_fields))
+    players = []
+    for spec in specs:
+        policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
+        players.append((build_policy(spec, PolicyContext(rng=policy_rng, **ctx_fields)), policy_rng))
     noise_cov = ctx_fields["noise_cov"]
     for t, x, info in rounds:
-        arm = policy.select(t, x, policy_rng)
-        y = payoff(info, arm)
-        policy.observe(t, arm, x[arm], y, noise_cov)
-        yield policy, info, arm, y
+        for i, (policy, policy_rng) in enumerate(players):
+            arm = policy.select(t, x, policy_rng)
+            y = payoff(info, arm)
+            policy.observe(t, arm, x[arm], y, noise_cov)
+            yield i, policy, info, arm, y
 
 
-def _play_environment(spec: PolicySpec, seed: int, environment: envmod.EnvironmentConfig):
-    """_play on a simulated environment; each round's info is its RoundContext."""
+def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig):
+    """_play on a simulated environment, sampling each round once; its info is the RoundContext."""
     ctx_fields = dict(
         d=environment.d,
         K=environment.K,
@@ -427,43 +436,88 @@ def _play_environment(spec: PolicySpec, seed: int, environment: envmod.Environme
     )
     contexts = (envmod.sample_round(environment, t) for t in range(1, environment.T + 1))
     rounds = ((round_ctx.t, round_ctx.x, round_ctx) for round_ctx in contexts)
-    return _play(spec, seed, ctx_fields, rounds, lambda round_ctx, arm: envmod.reward(environment, round_ctx, arm))
+    return _play(specs, seed, ctx_fields, rounds, lambda round_ctx, arm: envmod.reward(environment, round_ctx, arm))
+
+
+def _records_in_output_order(specs, seeds, rounds: int, steps):
+    """RunRecords in (policy, seed, t) order from runs that step each seed's policies together.
+
+    ``steps(seed)`` yields (i, t, arm, reward, inst_regret, rel_regret,
+    cos_dist) for policy i in round t = 1..rounds. The first policy's records
+    are yielded as they are made. Each later policy's rows are held in one
+    (rounds, 6) float block per seed, NaN standing for None, and become
+    records after the last seed.
+    """
+    held = []  # per seed, one block per later policy
+    for seed in seeds:
+        cum = [0.0] * len(specs)
+        blocks = [np.empty((rounds, 6)) for _ in specs[1:]]
+        for i, t, arm, y, inst, rel, cos in steps(seed):
+            cum[i] += inst
+            if i == 0:
+                yield RunRecord(
+                    t=t,
+                    policy=specs[0].label,
+                    seed=seed,
+                    arm=arm,
+                    reward=y,
+                    inst_regret=inst,
+                    cum_regret=cum[0],
+                    rel_regret=rel,
+                    cos_dist=cos,
+                )
+            else:
+                blocks[i - 1][t - 1] = (arm, y, inst, cum[i], math.nan if rel is None else rel, math.nan if cos is None else cos)
+        held.append(blocks)
+    for i, spec in enumerate(specs[1:]):
+        for seed, blocks in zip(seeds, held):
+            block, blocks[i] = blocks[i], None  # free each block once it is written out
+            for t, row in enumerate(block, start=1):
+                arm, y, inst, cum_regret, rel, cos = row.tolist()
+                yield RunRecord(
+                    t=t,
+                    policy=spec.label,
+                    seed=seed,
+                    arm=int(arm),
+                    reward=y,
+                    inst_regret=inst,
+                    cum_regret=cum_regret,
+                    rel_regret=None if math.isnan(rel) else rel,
+                    cos_dist=None if math.isnan(cos) else cos,
+                )
 
 
 def run_simulation(cfg: RunConfig):
     """Yield one RunRecord per (policy, seed, round), in that order.
 
-    Environment draws are keyed by (seed, t), so every policy sees the same
-    context stream for a given seed.
+    Environment draws are keyed by (seed, t). Each round of a seed is sampled
+    once, and every policy of the seed plays it in turn (see _play); the
+    round's values z.theta*, their maximum and theta_bar's pick are computed
+    once for all of them.
     """
     want_rel = "rel_regret" in cfg.metrics
     want_cos = "cos_dist" in cfg.metrics
-    for spec in cfg.policies:
-        for seed in cfg.seeds:
-            environment = environment_for_seed(cfg.env_spec, seed)
-            theta_star = environment.theta_star
-            theta_bar = polmod.bayes_optimal_theta(
-                environment.feature_dist.covariance_matrix(environment.d),
-                environment.noise.covariance,
-                theta_star,
-            )
-            cum = 0.0
-            for policy, round_ctx, arm, y in _play_environment(spec, seed, environment):
-                inst = envmod.instantaneous_regret(round_ctx, arm, theta_star)
-                cum += inst
-                rel = envmod.relative_regret(round_ctx, arm, theta_bar, theta_star) if want_rel else None
-                cos = _cosine_distance(policy.current_theta(), theta_star) if want_cos else None
-                yield RunRecord(
-                    t=round_ctx.t,
-                    policy=spec.label,
-                    seed=seed,
-                    arm=arm,
-                    reward=y,
-                    inst_regret=inst,
-                    cum_regret=cum,
-                    rel_regret=rel,
-                    cos_dist=cos,
-                )
+
+    def steps(seed):
+        environment = environment_for_seed(cfg.env_spec, seed)
+        theta_star = environment.theta_star
+        theta_bar = polmod.bayes_optimal_theta(
+            environment.feature_dist.covariance_matrix(environment.d),
+            environment.noise.covariance,
+            theta_star,
+        )
+        theta_star_norm = float(np.linalg.norm(theta_star))
+        for i, policy, round_ctx, arm, y in _play_environment(cfg.policies, seed, environment):
+            if i == 0:  # the first turn of a round
+                values = round_ctx.z @ theta_star
+                best = values.max()
+                bar_value = values[envmod.bar_theta_arm(round_ctx, theta_bar)] if want_rel else None
+            value = values[arm]
+            rel = float(bar_value - value) if want_rel else None
+            cos = _cosine_distance(policy.current_theta(), theta_star, theta_star_norm) if want_cos else None
+            yield i, round_ctx.t, arm, y, float(best - value), rel, cos
+
+    yield from _records_in_output_order(cfg.policies, cfg.seeds, int(cfg.env_spec["T"]), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +625,17 @@ def run_replay(dataset: ReplayDataset, policy_specs, seeds):
     Policies see only the K contexts per round and the reward of the arm
     they pick; regret is measured against the per-round maximum reward.
     """
+    specs = tuple(policy_specs)
     ctx_fields = dict(d=dataset.d, K=dataset.K, T=dataset.rounds, noise_cov=dataset.noise_covariance())
     rounds = [(idx + 1, x, idx) for idx, x in enumerate(dataset.contexts)]
     row_best = dataset.rewards.max(axis=1)
-    for spec in policy_specs:
-        for seed in seeds:
-            cum = 0.0
-            # rewards.item(idx, arm) is the logged reward as a Python float
-            for _, idx, arm, y in _play(spec, seed, ctx_fields, rounds, dataset.rewards.item):
-                inst = float(row_best[idx] - y)
-                cum += inst
-                yield RunRecord(
-                    t=idx + 1,
-                    policy=spec.label,
-                    seed=seed,
-                    arm=arm,
-                    reward=y,
-                    inst_regret=inst,
-                    cum_regret=cum,
-                )
+
+    def steps(seed):
+        # rewards.item(idx, arm) is the logged reward as a Python float
+        for i, _, idx, arm, y in _play(specs, seed, ctx_fields, rounds, dataset.rewards.item):
+            yield i, idx + 1, arm, y, float(row_best[idx] - y), None, None
+
+    yield from _records_in_output_order(specs, seeds, dataset.rounds, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +664,7 @@ def run_diagnostics(cfg: RunConfig):
         n2 = np.zeros((d, d))
         n3 = np.zeros(d)
         checkpoint = 1
-        for _, round_ctx, arm, y in _play_environment(spec, seed, environment):
+        for _, _, round_ctx, arm, y in _play_environment((spec,), seed, environment):
             eps = round_ctx.eps[0]
             n1 += np.outer(round_ctx.z[arm], eps)
             n2 += np.outer(eps, eps) - noise_cov

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+from bandit_lab import env as envmod
+from bandit_lab import policies as polmod
 from bandit_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 
 
@@ -95,6 +102,52 @@ class TestRunCommand:
         assert "'ucb_alpah'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_tiny_truncation_radius_exits_config(self, tmp_path):
+        # Rejection sampling at this radius never ends, so the run goes in a
+        # subprocess with a deadline: a regression fails instead of hanging.
+        cfg = write_config(tmp_path / "cfg.json")
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["noise"]["truncation_radius"] = 1e-3
+        cfg.write_text(json.dumps(doc))
+        cmd = [sys.executable, "-m", "bandit_lab.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert "truncation radius" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"name": "gaussian", "std": "1"},
+            {"name": "mixture", "weight": "0.3", "first": {"name": "gaussian"}, "second": {"name": "gaussian"}},
+        ],
+    )
+    def test_family_param_of_wrong_type_exits_config(self, tmp_path, family):
+        cfg = write_config(tmp_path / "cfg.json")
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["feature_distribution"]["family"] = family
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_metrics_must_be_a_list_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", metrics="cum_regret")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'metrics' must be a list" in capsys.readouterr().err
+
+    def test_negative_oracle_gd_step_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "oracle_gd", "params": {"step_size": -1}}])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "step_size must be nonnegative" in capsys.readouterr().err
+
+    def test_scripted_arm_out_of_range_exits_before_any_round(self, tmp_path, capsys, monkeypatch):
+        sampled = []
+        sample_round = envmod.sample_round
+        monkeypatch.setattr(envmod, "sample_round", lambda *a, **k: sampled.append(a) or sample_round(*a, **k))
+        cfg = write_config(tmp_path / "cfg.json", policies=["uniform", {"name": "scripted", "params": {"arms": [0, 7]}}])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "scripted arms [7] out of range 0..2" in capsys.readouterr().err
+        assert sampled == []
+
     def test_unwritable_output_exits_io(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         blocker = tmp_path / "blocker"
@@ -139,6 +192,25 @@ class TestReplayCommand:
         cfg = write_config(tmp_path / "grad.json", policies=[{"name": "gradient_linrel", "params": {"mc_samples": 20}}])
         assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
         assert "positive-definite" in capsys.readouterr().err
+
+    def test_unbuildable_later_policy_exits_before_any_round(self, tmp_path, capsys, monkeypatch):
+        selected = []
+        for cls in (polmod.NoisyLinRel, polmod.LinUCB):
+            select = cls.select
+            monkeypatch.setattr(cls, "select", lambda self, *a, _select=select: selected.append(a) or _select(self, *a))
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "round,arm_index,context_0,context_1,reward\n"
+            "0,0,1.0,1.0,1.0\n0,1,0.0,1.0,0.2\n"
+            "1,0,0.5,1.0,0.3\n1,1,1.0,1.0,0.8\n"
+        )
+        cfg = write_config(
+            tmp_path / "cfg.json", policies=["noisy_linrel", "linucb", {"name": "gradient_linrel", "params": {"mc_samples": 20}}]
+        )
+        args = ["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_CONFIG
+        assert "positive-definite" in capsys.readouterr().err
+        assert selected == []
 
 
 class TestGradtableCommand:

@@ -1,7 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
+from bandit_lab import env as envmod
 from bandit_lab.env import (
+    LANE_CONTEXT,
+    LANE_REWARD,
     EnvironmentConfig,
     ExponentialFamily,
     FeatureDistribution,
@@ -108,6 +113,18 @@ class TestFeatureDistribution:
         with pytest.raises(np.linalg.LinAlgError):
             FeatureDistribution.multivariate_gaussian([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_factors_the_covariance_once(self, monkeypatch):
+        cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+        dist = FeatureDistribution.multivariate_gaussian(cov)
+        factor = np.linalg.cholesky(cov)
+
+        def refuse(_):
+            raise AssertionError("sample() must reuse the factor computed at construction")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        draws = dist.sample(keyed_rng(3), 4, 2)
+        assert np.array_equal(draws, keyed_rng(3).standard_normal((4, 2)) @ factor.T)
+
 
 class TestNoiseModel:
     def test_truncation_radius_enforced(self):
@@ -123,6 +140,24 @@ class TestNoiseModel:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             NoiseModel("sometimes", np.eye(2))
+
+    def test_rejects_radius_that_almost_never_holds_a_draw(self):
+        # sample() would redraw for ever: a N(0, I_2) draw lands within 1e-3 of 0 with probability 5e-7
+        with pytest.raises(ValueError, match="truncation radius"):
+            NoiseModel("per_arm", np.eye(2), truncation_radius=1e-3)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="positive"):
+            NoiseModel("per_arm", np.eye(2), truncation_radius=float("nan"))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "build", [lambda cov: NoiseModel("per_arm", cov), FeatureDistribution.multivariate_gaussian], ids=["noise", "features"]
+)
+def test_rejects_non_finite_covariance(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(np.array([[bad, 0.0], [0.0, 0.3]]))
 
 
 class TestEnvironmentConfig:
@@ -305,3 +340,31 @@ def test_keyed_rng_streams_are_distinct():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+class TestRekeyedRoundStream:
+    def test_same_draws_as_keyed_rng(self):
+        r = random.Random(0)
+        seeds = [r.randrange(-(2**70), 2**70) for _ in range(400)]
+        seeds += [r.randrange(-50, 50) for _ in range(300)]
+        seeds += [r.randrange(2**64, 2**66) for _ in range(300)]
+        for seed in seeds:
+            t, lane = r.randrange(0, 2**40), r.randrange(8)
+            expected = keyed_rng(seed, t, lane)
+            got = envmod._round_stream(seed, t, lane)
+            # a 32-bit draw first, so a stale buffer or half-used word would show
+            assert got.integers(0, 2**31, dtype=np.uint32) == expected.integers(0, 2**31, dtype=np.uint32)
+            assert np.array_equal(got.standard_normal(3), expected.standard_normal(3))
+            assert np.array_equal(got.random(2), expected.random(2))
+
+    def test_held_generator_unaffected_by_sampling(self):
+        cfg = make_config(seed=5)
+        held, reference = keyed_rng(5, 3, LANE_CONTEXT), keyed_rng(5, 3, LANE_CONTEXT)
+        first = held.standard_normal(2)
+        assert np.array_equal(first, reference.standard_normal(2))
+        ctx = sample_round(cfg, 3)
+        reward(cfg, ctx, 1)
+        assert np.array_equal(held.standard_normal(5), reference.standard_normal(5))
+        again = sample_round(cfg, 3, rng=keyed_rng(5, 3, LANE_CONTEXT))
+        assert np.array_equal(ctx.x, again.x)
+        assert reward(cfg, ctx, 1) == reward(cfg, ctx, 1, rng=keyed_rng(5, 3, LANE_REWARD))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_golden import ALL_POLICIES, IDENTICAL_ENV, PER_ARM_ENV
 
 from bandit_lab.env import bar_theta_arm, sample_round
 from bandit_lab.linalg import spectral_norm
@@ -221,6 +222,16 @@ class TestRunSimulation:
         )
         for rec in run_simulation(cfg):
             assert rec.rel_regret is None and rec.cos_dist is None
+
+    @pytest.mark.parametrize("env", [IDENTICAL_ENV, PER_ARM_ENV], ids=["identical", "per_arm"])
+    def test_lockstep_run_equals_single_policy_runs(self, env):
+        def run(policies):
+            return list(run_simulation(parse_run_config({"environment": env, "policies": policies, "seeds": [0, 3]})))
+
+        together = run(ALL_POLICIES)
+        alone = [rec for policy in ALL_POLICIES for rec in run([policy])]
+        assert len(together) == 9 * 2 * 24
+        assert together == alone
 
     def test_all_registered_policies_run(self):
         cfg = make_config(
