@@ -11,7 +11,7 @@ from .env import (
     sample_round,
 )
 from .gradient import GradientConfig, averaged_gradient, gradient_norm_table, per_round_expected_regret, regret_gradient
-from .linalg import SymEigen, dilation, eigendecompose, rank_threshold, residual_projection_norm, spectral_norm
+from .linalg import SymEigen, eigendecompose, rank_threshold, spectral_norm
 from .policies import bayes_optimal_theta, posterior_feature_mean
 from .runner import RunConfig, RunRecord, run_diagnostics, run_replay, run_simulation
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -86,28 +87,45 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _table_int(doc: dict, key: str, default: int, minimum: float = 1) -> int:
+    """doc[key], or the default, as a JSON integer of at least minimum."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key!r} must be at least {minimum}, got {value}")
+    return value
+
+
 def _cmd_gradtable(args) -> int:
     doc = read_json_object(args.config)
     names = doc.get("distributions", list(TABLE_DISTRIBUTIONS))
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ConfigError(f"'distributions' must be a list of names, got {names!r}")
     try:
         distributions = [(name, TABLE_DISTRIBUTIONS[name]()) for name in names]
     except KeyError as exc:
         raise ConfigError(f"unknown distribution {exc}") from exc
-    d = int(doc.get("d", 10))
+    d = _table_int(doc, "d", 10)
     noise_diag = doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)])
-    if len(noise_diag) != d:
-        raise ConfigError("noise_diag length must equal d")
-    cfg = GradientConfig(
-        mc_noise_samples=int(doc.get("mc_noise_samples", 1000)),
-        fd_step=float(doc.get("fd_step", 1e-2)),
-        feature_samples=int(doc.get("feature_samples", 10_000)),
-    )
+    try:
+        noise_var = np.asarray(noise_diag, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise_diag: {exc}") from exc
+    if noise_var.shape != (d,) or not np.all(noise_var > 0):
+        raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_diag!r}")
+    mc_noise_samples = _table_int(doc, "mc_noise_samples", 1000)
+    feature_samples = _table_int(doc, "feature_samples", 10_000)
+    try:
+        cfg = GradientConfig(mc_noise_samples, float(doc.get("fd_step", 1e-2)), feature_samples)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad fd_step: {exc}") from exc
     rows = gradient_norm_table(
         distributions,
-        theta_star_seed=int(doc.get("theta_star_seed", 0)),
-        noise_cov=np.diag(np.asarray(noise_diag, dtype=float)),
+        theta_star_seed=_table_int(doc, "theta_star_seed", 0, minimum=-math.inf),
+        noise_cov=np.diag(noise_var),
         cfg=cfg,
-        k_arms=int(doc.get("K", 5)),
+        k_arms=_table_int(doc, "K", 5),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

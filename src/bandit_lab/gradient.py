@@ -3,8 +3,8 @@
 The regret objective fixes a hidden K-arm feature set z, draws Gaussian
 feature noise, and scores the gap between the truly best arm and the arm a
 coefficient vector theta would pick from the noisy features. Gradients are
-central finite differences of that objective; with common random numbers
-(CRN) the same frozen noise tensor is reused for every coordinate
+central finite differences of that objective with common random numbers
+(CRN): the same frozen noise tensor is reused for every coordinate
 perturbation, which is what makes the differences of a piecewise-constant
 Monte-Carlo objective meaningful.
 
@@ -42,13 +42,11 @@ class GradientConfig:
     mc_noise_samples: feature-noise draws per objective evaluation.
     fd_step: central-difference step, relative to the norm of theta.
     feature_samples: number of hidden feature sets averaged over (N).
-    crn: reuse one frozen noise tensor across all theta perturbations.
     """
 
     mc_noise_samples: int = 1000
     fd_step: float = 1e-2
     feature_samples: int = 1
-    crn: bool = True
 
     def __post_init__(self):
         if self.mc_noise_samples < 1 or self.feature_samples < 1:
@@ -190,38 +188,27 @@ def _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng):
         zc = zs[start : start + chunk]
         vals = values_all[start : start + chunk]
         b = zc.shape[0]
-        if cfg.crn:
-            # Per (set, draw, coordinate): value of the arm picked after the
-            # -h perturbation minus that after the +h one. The best-arm value
-            # cancels in the central difference; only the picked-arm values
-            # matter, and under CRN most picks coincide. The noise is drawn
-            # block by block in stream order, so the draws do not depend on
-            # the block size; the chunk's sum is taken once, as one array.
-            picked_gap = np.empty((b, s, d))
-            for lo in range(0, b, block):
-                hi = min(b, lo + block)
-                noisy = draw(rng, (hi - lo, s, k_arms, d))
-                noisy += zc[lo:hi, None, :, :]
-                base = noisy @ theta  # (block, s, K)
-                # Perturbing theta by +-h along coordinate j shifts arm scores
-                # by +-h * noisy[..., j], so one base score tensor covers all
-                # 2d perturbations.
-                noisy *= h
-                rows = np.arange(hi - lo)[:, None, None]
-                up_idx = _perturbed_argmax(base, noisy, np.add)  # (block, s, d)
-                dn_idx = _perturbed_argmax(base, noisy, np.subtract)
-                np.subtract(vals[lo:hi][rows, dn_idx], vals[lo:hi][rows, up_idx], out=picked_gap[lo:hi])
-            total += picked_gap.sum(axis=(0, 1)) / (2.0 * h * s)
-        else:
-            best = vals.max(axis=1)  # (b,)
-            for j in range(d):
-                for sign in (1.0, -1.0):
-                    eps = draw(rng, (b, s, k_arms, d))
-                    theta_j = theta.copy()
-                    theta_j[j] += sign * h
-                    picked = np.argmax((zc[:, None, :, :] + eps) @ theta_j, axis=2)
-                    gap = best[:, None] - np.take_along_axis(vals, picked, axis=1)
-                    total[j] += sign * np.sum(gap) / (2.0 * h * s)
+        # Per (set, draw, coordinate): value of the arm picked after the
+        # -h perturbation minus that after the +h one. The best-arm value
+        # cancels in the central difference; only the picked-arm values
+        # matter, and under CRN most picks coincide. The noise is drawn
+        # block by block in stream order, so the draws do not depend on
+        # the block size; the chunk's sum is taken once, as one array.
+        picked_gap = np.empty((b, s, d))
+        for lo in range(0, b, block):
+            hi = min(b, lo + block)
+            noisy = draw(rng, (hi - lo, s, k_arms, d))
+            noisy += zc[lo:hi, None, :, :]
+            base = noisy @ theta  # (block, s, K)
+            # Perturbing theta by +-h along coordinate j shifts arm scores
+            # by +-h * noisy[..., j], so one base score tensor covers all
+            # 2d perturbations.
+            noisy *= h
+            rows = np.arange(hi - lo)[:, None, None]
+            up_idx = _perturbed_argmax(base, noisy, np.add)  # (block, s, d)
+            dn_idx = _perturbed_argmax(base, noisy, np.subtract)
+            np.subtract(vals[lo:hi][rows, dn_idx], vals[lo:hi][rows, up_idx], out=picked_gap[lo:hi])
+        total += picked_gap.sum(axis=(0, 1)) / (2.0 * h * s)
     return total, n
 
 

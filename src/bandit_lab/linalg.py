@@ -14,10 +14,8 @@ __all__ = [
     "DegenerateSpectrumError",
     "SymEigen",
     "cutoff_pinv_solve",
-    "dilation",
     "eigendecompose",
     "rank_threshold",
-    "residual_projection_norm",
     "spectral_norm",
     "sym_matrix",
 ]
@@ -105,20 +103,6 @@ def truncated_pinv_apply(eig: SymEigen, k: int, y) -> np.ndarray:
     return top @ ((top.T @ y) / eig.eigenvalues[:k])
 
 
-def residual_projection_norm(eig: SymEigen, k: int, v) -> float:
-    """Norm of a vector's projection onto the trailing d-k eigendirections.
-
-    k = 0 returns the full norm of v; k = dim returns 0.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (eig.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match dim {eig.dim}")
-    if not 0 <= k <= eig.dim:
-        raise ValueError(f"k must lie in [0, {eig.dim}], got {k}")
-    if k == eig.dim:
-        return 0.0
-    return float(np.linalg.norm(eig.eigenvectors[:, k:].T @ v))
-
 
 def spectral_norm(a) -> float:
     """Largest singular value of a (possibly rectangular) matrix."""
@@ -133,25 +117,6 @@ def spectral_norm(a) -> float:
         return 0.0
     return float(np.linalg.norm(m, 2))
 
-
-def dilation(a) -> np.ndarray:
-    """Symmetric block embedding [[0, A], [A.T, 0]] of an m x n matrix.
-
-    The embedding preserves the spectral norm, which lets symmetric-matrix
-    concentration diagnostics apply to rectangular running sums.
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim {m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    rows, cols = m.shape
-    out = np.zeros((rows + cols, rows + cols))
-    out[:rows, rows:] = m
-    out[rows:, :rows] = m.T
-    return out
 
 
 def cutoff_pinv_solve(a, y, rel_cutoff: float = 1e-8) -> np.ndarray:

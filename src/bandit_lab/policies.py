@@ -10,6 +10,7 @@ is the only mutation point of a policy's state.
 
 import logging
 import math
+import numbers
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "FixedCoefficient",
     "LinUCB",
     "NoisyLinRel",
-    "OracleGradient",
     "Policy",
     "RegretGradientLinRel",
     "ScriptedPolicy",
@@ -66,6 +66,13 @@ def posterior_feature_mean(x, feature_cov, noise_cov) -> np.ndarray:
     n = np.asarray(noise_cov, dtype=float)
     precision = np.linalg.inv(f) + np.linalg.inv(n)
     return np.linalg.solve(precision, np.linalg.solve(n, np.asarray(x, dtype=float)))
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool, a float or a string is a TypeError naming the param."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name!r} takes integers, got {value!r}")
+    return int(value)
 
 
 def candidate_set(rewards, pairwise_width) -> list[int]:
@@ -126,7 +133,7 @@ class ScriptedPolicy(Policy):
     def __init__(self, arms):
         if not arms:
             raise ValueError("need at least one scripted arm")
-        self.arms = [int(a) for a in arms]
+        self.arms = [_integer("arms", a) for a in arms]
         self._i = 0
 
     def select(self, t, x, rng) -> int:
@@ -212,7 +219,7 @@ class ExploreThenCommitGreedy(Policy):
 
     def __init__(self, d: int, horizon: int, tau: int | None = None):
         self.d = d
-        self.tau = _exploration_length(horizon) if tau is None else int(tau)
+        self.tau = _exploration_length(horizon) if tau is None else _integer("tau", tau)
         self.X = np.zeros((d, d))
         self.Y = np.zeros(d)
         self.theta_hat: np.ndarray | None = None
@@ -334,7 +341,7 @@ class RegretGradientLinRel(Policy):
     ):
         if step_size < 0 or ucb_coeff < 0:
             raise ValueError("step_size and ucb_coeff must be nonnegative")
-        if mc_samples < 1:
+        if _integer("mc_samples", mc_samples) < 1:
             raise ValueError("mc_samples must be at least 1")
         self.estimator = NoisyLinRel(d, alpha_exponent)
         self.noise_cov = np.asarray(noise_cov, dtype=float)
@@ -402,52 +409,3 @@ class RegretGradientLinRel(Policy):
     def current_theta(self):
         return self.theta
 
-
-class OracleGradient(Policy):
-    """Plain regret descent fed the true coefficient instead of an estimate.
-
-    Starts from a random unit vector and each round steps it by a fixed
-    ``step_size`` along the Monte-Carlo regret gradient on one drawn feature
-    set, with the true coefficient in the objective. It keeps no estimation
-    state, no exploration bonus, no warm start, step scaling or averaging,
-    so it is a reference for regret descent alone rather than an oracle
-    version of RegretGradientLinRel.
-    """
-
-    name = "oracle_gd"
-    oracle = True
-
-    def __init__(
-        self,
-        theta_star,
-        noise_cov,
-        rng,
-        feature_sampler=None,
-        step_size: float = 0.05,
-        mc_samples: int = 100,
-        fd_step: float = 1e-2,
-    ):
-        if step_size < 0:
-            raise ValueError("step_size must be nonnegative")
-        self.theta_star = np.asarray(theta_star, dtype=float).copy()
-        self.noise_cov = np.asarray(noise_cov, dtype=float)
-        self.feature_sampler = feature_sampler
-        self.step_size = step_size
-        self.grad_cfg = GradientConfig(mc_noise_samples=mc_samples, fd_step=fd_step)
-        theta = rng.standard_normal(self.theta_star.shape[0])
-        self.theta = theta / np.linalg.norm(theta)
-        self.skipped_gradient_steps = 0
-
-    def select(self, t, x, rng) -> int:
-        z = self.feature_sampler(rng, 1)[0] if self.feature_sampler is not None else x
-        if self.step_size > 0.0:
-            grad = regret_gradient(self.theta, z, self.theta_star, self.noise_cov, self.grad_cfg, rng)
-            if np.all(np.isfinite(grad)):
-                self.theta = self.theta - self.step_size * grad
-            else:
-                self.skipped_gradient_steps += 1
-                log.warning("skipped non-finite regret gradient at t=%d", t)
-        return int(np.argmax(x @ self.theta))
-
-    def current_theta(self):
-        return self.theta

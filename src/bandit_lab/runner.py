@@ -99,13 +99,13 @@ class RunConfig:
 # JSON config parsing
 # ---------------------------------------------------------------------------
 
-_FAMILY_BUILDERS = {
-    "gaussian": lambda p: envmod.GaussianFamily(p.get("mean", 0.0), p.get("std", 1.0)),
-    "uniform": lambda p: envmod.UniformFamily(p["low"], p["high"]),
-    "laplace": lambda p: envmod.LaplaceFamily(p.get("loc", 0.0), p.get("scale", 1.0)),
-    "exponential": lambda p: envmod.ExponentialFamily(p.get("rate", 1.0)),
-    "lognormal": lambda p: envmod.LogNormalFamily(p.get("mu", 0.0), p.get("sigma", 1.0)),
-    "mixture": lambda p: envmod.MixtureFamily(p["weight"], parse_family(p["first"]), parse_family(p["second"])),
+_FAMILY_CLASSES = {
+    "gaussian": envmod.GaussianFamily,
+    "uniform": envmod.UniformFamily,
+    "laplace": envmod.LaplaceFamily,
+    "exponential": envmod.ExponentialFamily,
+    "lognormal": envmod.LogNormalFamily,
+    "mixture": envmod.MixtureFamily,
 }
 
 
@@ -113,14 +113,20 @@ def parse_family(spec: dict):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"family spec must be an object with a 'name': {spec!r}")
     name = spec["name"]
-    builder = _FAMILY_BUILDERS.get(name)
-    if builder is None:
+    cls = _FAMILY_CLASSES.get(name)
+    if cls is None:
         raise ConfigError(f"unknown family {name!r}")
+    params = {}
+    for key, value in spec.items():
+        if key in ("first", "second"):  # a mixture's components
+            params[key] = parse_family(value)
+        elif key != "name":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"family {name!r} parameter {key!r} must be a number, got {value!r}")
+            params[key] = value
     try:
-        return builder(spec)
-    except ConfigError:  # a mixture component's own error
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # a missing field, a wrong type or a bad value
+        return cls(**params)
+    except (TypeError, ValueError) as exc:  # a missing or unknown field, or a bad value
         raise ConfigError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
@@ -320,7 +326,7 @@ def _build_oracle_cf(ctx: PolicyContext, p: dict) -> polmod.FixedCoefficient:
 
 
 def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
-    policy = polmod.ScriptedPolicy(p.get("arms", []))
+    policy = polmod.ScriptedPolicy(**p)
     out_of_range = [arm for arm in policy.arms if not 0 <= arm < ctx.K]
     if out_of_range:
         raise ConfigError(f"scripted arms {out_of_range} out of range 0..{ctx.K - 1}")
@@ -330,45 +336,26 @@ def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
 POLICY_BUILDERS = {
     "uniform": lambda ctx, p: polmod.UniformRandom(),
     "scripted": _build_scripted,
-    "noisy_linrel": lambda ctx, p: polmod.NoisyLinRel(
-        ctx.d, alpha_exponent=p.get("alpha_exponent", polmod.ALPHA_EXPONENT_DEFAULT)
-    ),
-    "greedy": lambda ctx, p: polmod.ExploreThenCommitGreedy(ctx.d, ctx.T, tau=p.get("tau")),
-    "linucb": lambda ctx, p: polmod.LinUCB(ctx.d, ucb_alpha=p.get("ucb_alpha", 0.25)),
+    "noisy_linrel": lambda ctx, p: polmod.NoisyLinRel(ctx.d, **p),
+    "greedy": lambda ctx, p: polmod.ExploreThenCommitGreedy(ctx.d, ctx.T, **p),
+    "linucb": lambda ctx, p: polmod.LinUCB(ctx.d, **p),
     "gradient_linrel": lambda ctx, p: polmod.RegretGradientLinRel(
-        ctx.d,
-        ctx.noise_cov,
-        ctx.rng,
-        feature_sampler=_feature_sampler(ctx),
-        alpha_exponent=p.get("alpha_exponent", polmod.ALPHA_EXPONENT_DEFAULT),
-        step_size=p.get("step_size", 0.05),
-        ucb_coeff=p.get("ucb_coeff", 0.25),
-        mc_samples=p.get("mc_samples", 100),
-        fd_step=p.get("fd_step", 1e-2),
+        ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p
     ),
     "oracle_tc": lambda ctx, p: polmod.FixedCoefficient(
         _require_theta_star(ctx, "oracle_tc"), name="oracle_tc"
     ),
     "oracle_cf": _build_oracle_cf,
-    "oracle_gd": lambda ctx, p: polmod.OracleGradient(
-        _require_theta_star(ctx, "oracle_gd"),
-        ctx.noise_cov,
-        ctx.rng,
-        feature_sampler=_feature_sampler(ctx),
-        step_size=p.get("step_size", 0.05),
-        mc_samples=p.get("mc_samples", 100),
-        fd_step=p.get("fd_step", 1e-2),
-    ),
 }
 
-# The params each builder reads; parse_run_config rejects any other key.
+# The keyword params each builder passes to its policy's constructor, which
+# holds their defaults; parse_run_config rejects any other key.
 POLICY_PARAMS = {
     "scripted": ("arms",),
     "noisy_linrel": ("alpha_exponent",),
     "greedy": ("tau",),
     "linucb": ("ucb_alpha",),
     "gradient_linrel": ("alpha_exponent", "step_size", "ucb_coeff", "mc_samples", "fd_step"),
-    "oracle_gd": ("step_size", "mc_samples", "fd_step"),
 }
 
 

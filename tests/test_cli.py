@@ -120,24 +120,43 @@ class TestRunCommand:
         [
             {"name": "gaussian", "std": "1"},
             {"name": "mixture", "weight": "0.3", "first": {"name": "gaussian"}, "second": {"name": "gaussian"}},
+            {"name": "gaussian", "mean": "0"},
+            {"name": "laplace", "loc": "0"},
+            {"name": "gaussian", "sd": 5},
         ],
     )
-    def test_family_param_of_wrong_type_exits_config(self, tmp_path, family):
+    def test_family_param_of_wrong_type_exits_config(self, tmp_path, family, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         doc = json.loads(cfg.read_text())
         doc["environment"]["feature_distribution"]["family"] = family
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        bad_key = [key for key in family if key not in ("name", "first", "second")][0]
+        assert repr(bad_key) in capsys.readouterr().err
 
     def test_metrics_must_be_a_list_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", metrics="cum_regret")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "'metrics' must be a list" in capsys.readouterr().err
 
-    def test_negative_oracle_gd_step_exits_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "oracle_gd", "params": {"step_size": -1}}])
+    def test_negative_step_size_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "gradient_linrel", "params": {"step_size": -1}}])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "step_size must be nonnegative" in capsys.readouterr().err
+        assert "step_size and ucb_coeff must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policy, key, value",
+        [
+            ("gradient_linrel", "mc_samples", 1.5),
+            ("gradient_linrel", "mc_samples", True),
+            ("greedy", "tau", "2"),
+            ("scripted", "arms", [1.7]),
+        ],
+    )
+    def test_integer_param_of_wrong_type_exits_config(self, tmp_path, capsys, policy, key, value):
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": policy, "params": {key: value}}])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{key!r} takes integers" in capsys.readouterr().err
 
     def test_scripted_arm_out_of_range_exits_before_any_round(self, tmp_path, capsys, monkeypatch):
         sampled = []
@@ -243,6 +262,24 @@ class TestGradtableCommand:
         cfg = tmp_path / "grad.json"
         cfg.write_text(json.dumps({"distributions": ["cauchy"]}))
         assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"d": "x"}, "'d' must be an integer"),
+            ({"mc_noise_samples": 0}, "'mc_noise_samples' must be at least 1"),
+            ({"noise_diag": [0, 1], "d": 2}, "noise_diag must hold d=2 positive numbers"),
+            ({"K": 0}, "'K' must be at least 1"),
+            ({"distributions": "gaussian"}, "'distributions' must be a list"),
+        ],
+        ids=["d-string", "no-mc-samples", "zero-noise-variance", "no-arms", "distributions-string"],
+    )
+    def test_bad_table_config_exits_config(self, tmp_path, capsys, field, message):
+        cfg = tmp_path / "grad.json"
+        cfg.write_text(json.dumps({"distributions": ["gaussian"], "feature_samples": 2, "mc_noise_samples": 2, **field}))
+        assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestDiagnoseCommand:

@@ -32,7 +32,6 @@ ALL_POLICIES = [
     {"name": "gradient_linrel", "params": {"mc_samples": 20}},
     "oracle_tc",
     "oracle_cf",
-    {"name": "oracle_gd", "params": {"mc_samples": 20}},
 ]
 
 IDENTICAL_ENV = {
@@ -67,8 +66,8 @@ PER_ARM_ENV = {
 }
 
 EXPECTED = {
-    "simulation_identical": "a1fe06eb2a1be27f61db5a7310d78f746597ee1ae0cf05e63a436c3cdeef358a",
-    "simulation_per_arm": "54da07656b10a28d4872e3d38d082f00ce63e316c7c221720eb4d172e7427118",
+    "simulation_identical": "b8fc57e39d9ca274d8c13ca5ba057982f26bf365f7f1fa03a0331a89c5344221",
+    "simulation_per_arm": "dd19ad6ca1dac298584ff98f952bcc08fbbc8244f2676963636e1fe38daf8870",
     "replay": "c9a5b5bb8a0c2b5b6a9872b7070a31d7bdc4d76cf1f5301722ae40d9d8fa7476",
     "diagnostics": "0ee9a71d297b0be6d534605c92e5ea6bf76e6a7ae2cbf38b5f5089c1b74c5cdc",
 }

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from bandit_lab.linalg import (
     DegenerateSpectrumError,
     cutoff_pinv_solve,
-    dilation,
     eigendecompose,
     rank_threshold,
-    residual_projection_norm,
     spectral_norm,
     sym_matrix,
     truncated_pinv_apply,
@@ -128,31 +126,6 @@ class TestTruncatedPinvApply:
             assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
-class TestResidualProjectionNorm:
-    def test_k_dim_is_zero(self):
-        eig = eigendecompose(np.diag([2.0, 1.0]))
-        assert residual_projection_norm(eig, 2, np.array([3.0, 4.0])) == 0.0
-
-    def test_k_zero_is_full_norm(self):
-        eig = eigendecompose(np.diag([2.0, 1.0]))
-        assert residual_projection_norm(eig, 0, np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_residual_subspace(self):
-        # residual subspace after keeping the top eigendirection of diag(2,1) is e2
-        eig = eigendecompose(np.diag([2.0, 1.0]))
-        assert residual_projection_norm(eig, 1, np.array([3.0, 4.0])) == pytest.approx(4.0)
-
-    def test_pythagoras(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            d = int(rng.integers(2, 9))
-            eig = eigendecompose(random_symmetric(rng, d))
-            k = int(rng.integers(0, d + 1))
-            v = rng.standard_normal(d)
-            head = np.linalg.norm(eig.eigenvectors[:, :k].T @ v)
-            tail = residual_projection_norm(eig, k, v)
-            assert head**2 + tail**2 == pytest.approx(np.linalg.norm(v) ** 2, abs=1e-9)
-
 
 class TestSpectralNorm:
     def test_diagonal(self):
@@ -167,30 +140,6 @@ class TestSpectralNorm:
         expected = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)
         assert spectral_norm([[1.0, 1.0], [0.0, 1.0]]) == pytest.approx(expected, rel=1e-8)
 
-
-class TestDilation:
-    def test_one_by_one(self):
-        out = dilation([[2.0]])
-        assert np.array_equal(out, [[0.0, 2.0], [2.0, 0.0]])
-        assert spectral_norm(out) == pytest.approx(2.0)
-
-    def test_zero(self):
-        assert np.array_equal(dilation(np.zeros((2, 3))), np.zeros((5, 5)))
-
-    def test_norm_preserved_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            rows = int(rng.integers(1, 6))
-            cols = int(rng.integers(1, 6))
-            a = rng.standard_normal((rows, cols))
-            assert spectral_norm(dilation(a)) == pytest.approx(spectral_norm(a), abs=1e-9)
-
-    def test_block_structure(self):
-        a = np.arange(6.0).reshape(3, 2)
-        out = dilation(a)
-        assert np.array_equal(out[:3, 3:], a)
-        assert np.array_equal(out[3:, :3], a.T)
-        assert np.array_equal(out[:3, :3], np.zeros((3, 3)))
 
 
 class TestCutoffPinvSolve:

@@ -15,7 +15,6 @@ from bandit_lab.policies import (
     FixedCoefficient,
     LinUCB,
     NoisyLinRel,
-    OracleGradient,
     RegretGradientLinRel,
     ScriptedPolicy,
     UniformRandom,
@@ -488,32 +487,3 @@ class TestRegretGradientLinRel:
         assert policy.gradient_steps == steps_before + 10
         assert moved > 0  # stepped using x as z
 
-
-class TestOracleGradient:
-    def test_zero_step_fixes_initial_theta(self):
-        cfg = _gaussian_env(seed=26)
-        policy = OracleGradient(
-            cfg.theta_star,
-            cfg.noise.covariance,
-            keyed_rng(26, 0, 2),
-            feature_sampler=_feature_sampler(cfg),
-            step_size=0.0,
-        )
-        theta0 = policy.theta.copy()
-        ctx = sample_round(cfg, 1)
-        assert policy.select(1, ctx.x, keyed_rng(0)) == int(np.argmax(ctx.x @ theta0))
-
-    def test_converges_to_shrunk_coefficient_gaussian(self):
-        cfg = _gaussian_env(seed=27, T=4000)
-        policy = OracleGradient(
-            cfg.theta_star,
-            cfg.noise.covariance,
-            keyed_rng(27, 0, 2),
-            feature_sampler=_feature_sampler(cfg),
-            step_size=0.02,
-            mc_samples=200,
-        )
-        _run_gradient_policy(policy, cfg, cfg.T)
-        theta_bar = bayes_optimal_theta(np.eye(cfg.d), cfg.noise.covariance, cfg.theta_star)
-        cos = policy.theta @ theta_bar / (np.linalg.norm(policy.theta) * np.linalg.norm(theta_bar))
-        assert 1.0 - cos < 0.02

@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from test_golden import ALL_POLICIES, IDENTICAL_ENV, PER_ARM_ENV
@@ -89,16 +93,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("name", sorted(POLICY_BUILDERS))
     def test_declared_params_are_the_keys_the_builder_reads(self, name):
-        class Recording(dict):
-            def get(self, key, default=None):
-                read.add(key)
-                return default
-
-            def __getitem__(self, key):
-                read.add(key)
-                raise KeyError(key)
-
-        read = set()
+        # Builders pass the checked params to the constructor as **params, so
+        # the declared keys must be exactly its keywords that the run context
+        # does not fill in.
         env = environment_for_seed(base_env_spec(), 0)
         ctx = PolicyContext(
             d=env.d,
@@ -109,11 +106,21 @@ class TestConfigParsing:
             theta_star=env.theta_star,
             feature_dist=env.feature_dist,
         )
-        try:
-            POLICY_BUILDERS[name](ctx, Recording())
-        except ValueError:  # a default may be unusable (scripted needs arms); the keys were read first
-            pass
-        assert read == set(POLICY_PARAMS.get(name, ()))
+        policy = POLICY_BUILDERS[name](ctx, {"arms": [0]} if name == "scripted" else {})
+        from_context = {"d", "horizon", "noise_cov", "rng", "feature_sampler", "theta", "name"}
+        keywords = set(inspect.signature(type(policy)).parameters) - from_context
+        assert keywords == set(POLICY_PARAMS.get(name, ()))
+
+    def test_readme_names_exactly_the_declared_params(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"Each policy accepts only the `params`[^:]*:(.*?)the others none", readme, re.DOTALL)
+        assert sentence, "README no longer states which params each policy accepts"
+        listed = {}
+        for clause in sentence.group(1).split(";"):
+            names = re.findall(r"`([^`]+)`", clause)
+            if names:
+                listed[names[0]] = tuple(names[1:])
+        assert listed == POLICY_PARAMS
 
     def test_random_theta_star_per_seed(self):
         a = environment_for_seed(base_env_spec(theta_star="random"), 0)
@@ -230,7 +237,7 @@ class TestRunSimulation:
 
         together = run(ALL_POLICIES)
         alone = [rec for policy in ALL_POLICIES for rec in run([policy])]
-        assert len(together) == 9 * 2 * 24
+        assert len(together) == 8 * 2 * 24
         assert together == alone
 
     def test_all_registered_policies_run(self):
@@ -243,13 +250,13 @@ class TestRunSimulation:
                 "oracle_tc",
                 "oracle_cf",
                 {"name": "gradient_linrel", "params": {"mc_samples": 20}},
-                {"name": "oracle_gd", "params": {"mc_samples": 20}},
                 {"name": "scripted", "params": {"arms": [0, 1, 2]}},
             ),
             T=12,
         )
+        assert {spec.name for spec in cfg.policies} == set(POLICY_BUILDERS)
         records = list(run_simulation(cfg))
-        assert len(records) == 9 * 12
+        assert len(records) == 8 * 12
 
 
 class TestEmitOutputs:
