@@ -13,6 +13,7 @@ import numpy as np
 
 from . import env as envmod
 from .gradient import GradientConfig, gradient_norm_table
+from .policies import _number
 from .runner import (
     ConfigError,
     DataFormatError,
@@ -117,7 +118,7 @@ def _cmd_gradtable(args) -> int:
     mc_noise_samples = _table_int(doc, "mc_noise_samples", 1000)
     feature_samples = _table_int(doc, "feature_samples", 10_000)
     try:
-        cfg = GradientConfig(mc_noise_samples, float(doc.get("fd_step", 1e-2)), feature_samples)
+        cfg = GradientConfig(mc_noise_samples, _number("fd_step", doc.get("fd_step", 1e-2)), feature_samples)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fd_step: {exc}") from exc
     rows = gradient_norm_table(

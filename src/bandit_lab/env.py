@@ -33,6 +33,7 @@ __all__ = [
     "oracle_arm",
     "relative_regret",
     "reward",
+    "reward_noise",
     "sample_round",
 ]
 
@@ -449,23 +450,36 @@ def sample_round(cfg: EnvironmentConfig, t: int, rng=None) -> RoundContext:
     return RoundContext(t=t, z=z, x=z + eps, eps=eps)
 
 
-def reward(cfg: EnvironmentConfig, round_ctx: RoundContext, arm: int, rng=None) -> float:
-    """Noisy reward of an arm: z_arm . theta_star plus truncated Gaussian noise.
+def reward_noise(cfg: EnvironmentConfig, t: int, rng=None) -> float:
+    """Additive reward noise sigma * g of round t, shared by every arm of the round.
 
-    The additive noise is rejection-truncated to [-4 sigma, 4 sigma] so the
-    reward stays bounded.
+    g is a standard normal rejection-truncated to [-4, 4], so the reward
+    stays bounded. With rng omitted the draw is keyed by (cfg.seed, t).
+    """
+    if cfg.reward_noise_sigma == 0.0:
+        return 0.0
+    if rng is None:
+        rng = _round_stream(cfg.seed, t, LANE_REWARD)
+    g = rng.standard_normal()
+    while abs(g) > 4.0:
+        g = rng.standard_normal()
+    return cfg.reward_noise_sigma * float(g)
+
+
+def reward(cfg: EnvironmentConfig, round_ctx: RoundContext, arm: int, rng=None, noise: float | None = None) -> float:
+    """Noisy reward of an arm: z_arm . theta_star plus reward_noise of the round.
+
+    ``noise`` is the round's reward_noise drawn beforehand, so that several
+    rewards of one round share one draw; omitted, it is drawn here.
     """
     if not 0 <= arm < cfg.K:
         raise ValueError(f"arm {arm} outside 0..{cfg.K - 1}")
     mean = float(round_ctx.z[arm] @ cfg.theta_star)
     if cfg.reward_noise_sigma == 0.0:
         return mean
-    if rng is None:
-        rng = _round_stream(cfg.seed, round_ctx.t, LANE_REWARD)
-    g = rng.standard_normal()
-    while abs(g) > 4.0:
-        g = rng.standard_normal()
-    return mean + cfg.reward_noise_sigma * float(g)
+    if noise is None:
+        noise = reward_noise(cfg, round_ctx.t, rng)
+    return mean + noise
 
 
 def oracle_arm(round_ctx: RoundContext, theta_star) -> int:

@@ -75,6 +75,13 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """value as a float; a bool or a string is a TypeError naming the param."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name!r} takes numbers, got {value!r}")
+    return float(value)
+
+
 def candidate_set(rewards, pairwise_width) -> list[int]:
     """Elimination loop producing the surviving candidate arms.
 
@@ -159,7 +166,7 @@ class NoisyLinRel(Policy):
     name = "noisy_linrel"
 
     def __init__(self, d: int, alpha_exponent: float = ALPHA_EXPONENT_DEFAULT):
-        if not 0.5 < alpha_exponent < 1.0:
+        if not 0.5 < _number("alpha_exponent", alpha_exponent) < 1.0:
             raise ValueError("alpha_exponent must lie in (1/2, 1)")
         self.d = d
         self.alpha_exponent = alpha_exponent
@@ -183,7 +190,8 @@ class NoisyLinRel(Policy):
         tail = eig.eigenvectors[:, k:].T @ x.T  # (d - k, K)
 
         def width(i: int, c: int) -> float:
-            return float(np.linalg.norm(tail[:, i] - tail[:, c]))
+            diff = tail[:, i] - tail[:, c]
+            return math.sqrt(diff.dot(diff))  # np.linalg.norm(diff), without its overhead
 
         candidates = candidate_set(r, width)
         return candidates[int(rng.integers(len(candidates)))]
@@ -220,6 +228,8 @@ class ExploreThenCommitGreedy(Policy):
     def __init__(self, d: int, horizon: int, tau: int | None = None):
         self.d = d
         self.tau = _exploration_length(horizon) if tau is None else _integer("tau", tau)
+        if self.tau < 0:
+            raise ValueError("tau must be nonnegative")
         self.X = np.zeros((d, d))
         self.Y = np.zeros(d)
         self.theta_hat: np.ndarray | None = None
@@ -241,29 +251,36 @@ class ExploreThenCommitGreedy(Policy):
 
 
 class LinUCB(Policy):
-    """Ridge regression on observed features with an ellipsoidal bonus."""
+    """Ridge regression on observed features with an ellipsoidal bonus.
+
+    A and b change only in observe, so the coefficient solve(A, b) is kept
+    from current_theta or select until the next observe.
+    """
 
     name = "linucb"
 
     def __init__(self, d: int, ucb_alpha: float = 0.25):
-        if ucb_alpha < 0:
+        if _number("ucb_alpha", ucb_alpha) < 0:
             raise ValueError("ucb_alpha must be nonnegative")
         self.d = d
         self.ucb_alpha = ucb_alpha
         self.A = np.eye(d)
         self.b = np.zeros(d)
+        self._theta = None  # solve(A, b), kept until observe changes A and b
 
     def select(self, t, x, rng) -> int:
-        theta = np.linalg.solve(self.A, self.b)
         widths = np.sqrt(np.sum(x * np.linalg.solve(self.A, x.T).T, axis=1))
-        return int(np.argmax(x @ theta + self.ucb_alpha * widths))
+        return int(np.argmax(x @ self.current_theta() + self.ucb_alpha * widths))
 
     def observe(self, t, arm, x_arm, y, noise_cov) -> None:
         self.A += np.outer(x_arm, x_arm)
         self.b += y * np.asarray(x_arm, dtype=float)
+        self._theta = None
 
     def current_theta(self):
-        return np.linalg.solve(self.A, self.b)
+        if self._theta is None:
+            self._theta = np.linalg.solve(self.A, self.b)
+        return self._theta
 
 
 class FixedCoefficient(Policy):
@@ -339,7 +356,7 @@ class RegretGradientLinRel(Policy):
         mc_samples: int = 100,
         fd_step: float = 1e-2,
     ):
-        if step_size < 0 or ucb_coeff < 0:
+        if _number("step_size", step_size) < 0 or _number("ucb_coeff", ucb_coeff) < 0:
             raise ValueError("step_size and ucb_coeff must be nonnegative")
         if _integer("mc_samples", mc_samples) < 1:
             raise ValueError("mc_samples must be at least 1")
@@ -358,7 +375,7 @@ class RegretGradientLinRel(Policy):
         else:
             self.feature_sets = max(n for n in range(1, GRADIENT_FEATURE_SETS + 1) if mc_samples % n == 0)
             self.spread_sample = feature_sampler(rng, SPREAD_FEATURE_SETS).reshape(-1, d)
-        self.grad_cfg = GradientConfig(mc_noise_samples=mc_samples // self.feature_sets, fd_step=fd_step)
+        self.grad_cfg = GradientConfig(mc_noise_samples=mc_samples // self.feature_sets, fd_step=_number("fd_step", fd_step))
         self.descent = np.zeros(d)
         self.correction = np.zeros(d)
         self.gradient_steps = 0

@@ -52,7 +52,7 @@ class DataFormatError(ValueError):
     """A logged-data file violates the replay format."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # built once per output row; a frozen dataclass's __init__ costs ~3x as much
 class RunRecord:
     t: int
     policy: str
@@ -202,8 +202,12 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError("config needs an 'environment' object")
     policies = _parse_policy_specs(doc.get("policies"))
     seeds = doc.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("config needs a nonempty integer list 'seeds'")
+    try:
+        seeds = [polmod._integer("seeds", s) for s in seeds]
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
     metrics = doc.get("metrics", ["cum_regret", "rel_regret", "cos_dist"])
     if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
         raise ConfigError(f"'metrics' must be a list of metric names, got {metrics!r}")
@@ -258,11 +262,10 @@ def environment_for_seed(env_spec: dict, seed: int) -> envmod.EnvironmentConfig:
     unit ball only when needed).
     """
     try:
-        K = int(env_spec["K"])
-        d = int(env_spec["d"])
-        T = int(env_spec["T"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"environment needs integer K, d, T: {exc}") from exc
+        K, d, T = (polmod._integer(key, env_spec[key]) for key in ("K", "d", "T"))
+        reward_noise_sigma = polmod._number("reward_noise_sigma", env_spec.get("reward_noise_sigma", 0.0))
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"environment needs integer K, d, T and a numeric reward_noise_sigma: {exc}") from exc
     dist = parse_feature_distribution(env_spec.get("feature_distribution", {"kind": "iid", "family": {"name": "gaussian"}}))
     noise = parse_noise_model(env_spec.get("noise", {}), d)
     theta_spec = env_spec.get("theta_star", "random")
@@ -280,7 +283,7 @@ def environment_for_seed(env_spec: dict, seed: int) -> envmod.EnvironmentConfig:
             theta_star=theta,
             feature_dist=dist,
             noise=noise,
-            reward_noise_sigma=float(env_spec.get("reward_noise_sigma", 0.0)),
+            reward_noise_sigma=reward_noise_sigma,
             seed=seed,
         )
     except ValueError as exc:
@@ -382,8 +385,9 @@ def _cosine_distance(theta, reference, norm_r: float) -> float | None:
     if theta is None:
         return None
     theta = np.asarray(theta, dtype=float)
-    norm_t = float(np.linalg.norm(theta))
-    if norm_t == 0.0 or norm_r == 0.0 or not np.all(np.isfinite(theta)):
+    norm_t = math.sqrt(theta.dot(theta))  # np.linalg.norm's own arithmetic, without its overhead
+    # A finite norm implies finite entries; a finite theta can still overflow it.
+    if norm_t == 0.0 or norm_r == 0.0 or (not math.isfinite(norm_t) and not np.all(np.isfinite(theta))):
         return None
     return float(1.0 - theta @ reference / (norm_t * norm_r))
 
@@ -412,7 +416,11 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
 
 
 def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig):
-    """_play on a simulated environment, sampling each round once; its info is the RoundContext."""
+    """_play on a simulated environment; its info is (RoundContext, reward noise).
+
+    Each round's contexts and reward noise are drawn once, and every
+    policy's reward in the round adds that same noise.
+    """
     ctx_fields = dict(
         d=environment.d,
         K=environment.K,
@@ -422,8 +430,8 @@ def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig):
         feature_dist=environment.feature_dist,
     )
     contexts = (envmod.sample_round(environment, t) for t in range(1, environment.T + 1))
-    rounds = ((round_ctx.t, round_ctx.x, round_ctx) for round_ctx in contexts)
-    return _play(specs, seed, ctx_fields, rounds, lambda round_ctx, arm: envmod.reward(environment, round_ctx, arm))
+    rounds = ((c.t, c.x, (c, envmod.reward_noise(environment, c.t))) for c in contexts)
+    return _play(specs, seed, ctx_fields, rounds, lambda info, arm: envmod.reward(environment, info[0], arm, noise=info[1]))
 
 
 def _records_in_output_order(specs, seeds, rounds: int, steps):
@@ -494,7 +502,7 @@ def run_simulation(cfg: RunConfig):
             theta_star,
         )
         theta_star_norm = float(np.linalg.norm(theta_star))
-        for i, policy, round_ctx, arm, y in _play_environment(cfg.policies, seed, environment):
+        for i, policy, (round_ctx, _), arm, y in _play_environment(cfg.policies, seed, environment):
             if i == 0:  # the first turn of a round
                 values = round_ctx.z @ theta_star
                 best = values.max()
@@ -651,7 +659,7 @@ def run_diagnostics(cfg: RunConfig):
         n2 = np.zeros((d, d))
         n3 = np.zeros(d)
         checkpoint = 1
-        for _, _, round_ctx, arm, y in _play_environment((spec,), seed, environment):
+        for _, _, (round_ctx, _), arm, y in _play_environment((spec,), seed, environment):
             eps = round_ctx.eps[0]
             n1 += np.outer(round_ctx.z[arm], eps)
             n2 += np.outer(eps, eps) - noise_cov

@@ -158,6 +158,56 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"{key!r} takes integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "policy, key, value",
+        [
+            ("linucb", "ucb_alpha", True),
+            ("linucb", "ucb_alpha", "0.5"),
+            ("noisy_linrel", "alpha_exponent", True),
+            ("gradient_linrel", "alpha_exponent", True),
+            ("gradient_linrel", "fd_step", True),
+            ("gradient_linrel", "step_size", True),
+            ("gradient_linrel", "ucb_coeff", True),
+        ],
+    )
+    def test_number_param_of_wrong_type_exits_config(self, tmp_path, capsys, policy, key, value):
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": policy, "params": {key: value}}])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{key!r} takes numbers" in capsys.readouterr().err
+
+    def test_negative_tau_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "greedy", "params": {"tau": -5}}])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "tau must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("T", 2.7), ("T", "5"), ("T", True), ("K", 3.0), ("K", "3"), ("d", True), ("d", 2.0)],
+    )
+    def test_environment_size_of_wrong_type_exits_config(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json")
+        doc = json.loads(cfg.read_text())
+        doc["environment"][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{key!r} takes integers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_reward_noise_sigma_of_wrong_type_exits_config(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "cfg.json")
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["reward_noise_sigma"] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'reward_noise_sigma' takes numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", [[True], [0, False], [1.0], ["0"], [], 3])
+    def test_seeds_of_wrong_type_exit_config(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path / "cfg.json", seeds=seeds)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'seeds'" in capsys.readouterr().err
+
     def test_scripted_arm_out_of_range_exits_before_any_round(self, tmp_path, capsys, monkeypatch):
         sampled = []
         sample_round = envmod.sample_round
@@ -257,6 +307,14 @@ class TestGradtableCommand:
         cfg = tmp_path / "grad.json"
         cfg.write_text(json.dumps({"distributions": ["gaussian"], "fd_step": float("nan")}))
         assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_fd_step_of_wrong_type_exits_config(self, tmp_path, capsys, value):
+        cfg = tmp_path / "grad.json"
+        cfg.write_text(json.dumps({"distributions": ["gaussian"], "feature_samples": 2, "mc_noise_samples": 2, "fd_step": value}))
+        assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+        assert "'fd_step' takes numbers" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_unknown_distribution_exits_config(self, tmp_path):
         cfg = tmp_path / "grad.json"

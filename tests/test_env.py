@@ -23,6 +23,7 @@ from bandit_lab.env import (
     oracle_arm,
     relative_regret,
     reward,
+    reward_noise,
     sample_round,
 )
 
@@ -248,6 +249,49 @@ class TestReward:
         mean = float(ctx.z[0] @ cfg.theta_star)
         draws = np.array([reward(cfg, ctx, 0, rng) for _ in range(50_000)])
         assert np.max(np.abs(draws - mean)) <= 0.8 + 1e-12
+
+
+def _keyed_reward(cfg, ctx, arm) -> float:
+    """Reference reward: every call draws its noise from its own keyed (seed, t, LANE_REWARD) stream."""
+    mean = float(ctx.z[arm] @ cfg.theta_star)
+    if cfg.reward_noise_sigma == 0.0:
+        return mean
+    rng = keyed_rng(cfg.seed, ctx.t, LANE_REWARD)
+    g = rng.standard_normal()
+    while abs(g) > 4.0:
+        g = rng.standard_normal()
+    return mean + cfg.reward_noise_sigma * float(g)
+
+
+class TestSharedRewardNoise:
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 2.5])
+    def test_pre_drawn_noise_equals_keyed_draw(self, sigma):
+        checked = 0
+        for seed in range(-40, 60):
+            cfg = make_config(seed=seed, T=7, reward_noise_sigma=sigma)
+            for t in (1, 4, 7):
+                ctx = sample_round(cfg, t)
+                noise = reward_noise(cfg, t)
+                for arm in range(cfg.K):
+                    expected = repr(_keyed_reward(cfg, ctx, arm))  # repr tells -0.0 from 0.0
+                    assert repr(reward(cfg, ctx, arm, noise=noise)) == expected
+                    assert repr(reward(cfg, ctx, arm)) == expected
+                    checked += 1
+        assert checked >= 1000
+
+    def test_rejected_first_draw(self):
+        seed = next(s for s in range(10**6) if abs(keyed_rng(s, 1, LANE_REWARD).standard_normal()) > 4.0)
+        cfg = make_config(seed=seed, reward_noise_sigma=0.5)
+        ctx = sample_round(cfg, 1)
+        noise = reward_noise(cfg, 1)
+        assert abs(noise) <= 4.0 * 0.5
+        for arm in range(cfg.K):
+            assert reward(cfg, ctx, arm, noise=noise) == _keyed_reward(cfg, ctx, arm)
+
+    def test_noiseless_round_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(envmod, "_round_stream", None)  # a draw would fail
+        cfg = make_config(reward_noise_sigma=0.0)
+        assert reward_noise(cfg, 1) == 0.0
 
 
 class TestArgmaxAndRegret:

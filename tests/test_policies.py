@@ -279,6 +279,32 @@ class TestLinUCB:
             policy.observe(t, 0, rng.standard_normal(3) * 5, float(rng.standard_normal()), None)
         np.linalg.cholesky(policy.A)  # raises if not PD
 
+    def test_one_coefficient_solve_per_round(self, monkeypatch):
+        solve = np.linalg.solve
+        rng = np.random.default_rng(9)
+        tracked, untracked = LinUCB(d=3), LinUCB(d=3)
+        coefficient_solves = []
+
+        def counting_solve(a, b):
+            if a is tracked.A and b is tracked.b:
+                coefficient_solves.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        rounds = 60
+        for t in range(1, rounds + 1):
+            x = rng.standard_normal((4, 3))
+            arm = tracked.select(t, x, None)
+            assert untracked.select(t, x, None) == arm
+            y = float(rng.standard_normal())
+            for policy in (tracked, untracked):
+                policy.observe(t, arm, x[arm], y, None)
+            # select, observe, current_theta: the order of the simulation round core
+            assert np.array_equal(tracked.current_theta(), solve(tracked.A, tracked.b))
+        # one solve per round, plus round 1's select, which no current_theta preceded
+        assert len(coefficient_solves) == rounds + 1
+        assert np.array_equal(untracked.current_theta(), solve(untracked.A, untracked.b))
+
 
 class TestFixedCoefficient:
     def test_argmax_selection(self):

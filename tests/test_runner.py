@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from test_golden import ALL_POLICIES, IDENTICAL_ENV, PER_ARM_ENV
 
-from bandit_lab.env import bar_theta_arm, sample_round
+from bandit_lab import env as envmod
+from bandit_lab.env import LANE_REWARD, bar_theta_arm, sample_round
 from bandit_lab.linalg import spectral_norm
 from bandit_lab.policies import bayes_optimal_theta
 from bandit_lab.runner import (
@@ -16,6 +18,7 @@ from bandit_lab.runner import (
     PolicyContext,
     PolicySpec,
     RunConfig,
+    _cosine_distance,
     emit_outputs,
     environment_for_seed,
     parse_run_config,
@@ -257,6 +260,54 @@ class TestRunSimulation:
         assert {spec.name for spec in cfg.policies} == set(POLICY_BUILDERS)
         records = list(run_simulation(cfg))
         assert len(records) == 8 * 12
+
+    def test_one_reward_noise_draw_per_round(self, monkeypatch):
+        stream = envmod._round_stream
+        lanes = []
+        monkeypatch.setattr(envmod, "_round_stream", lambda seed, t, lane: lanes.append(lane) or stream(seed, t, lane))
+        cfg = make_config(policies=("uniform", "linucb", "noisy_linrel"), seeds=(0, 1), T=40)
+        assert len(list(run_simulation(cfg))) == 3 * 2 * 40
+        assert lanes.count(LANE_REWARD) == 2 * 40
+
+
+def _cosine_distance_by_norm(theta, reference, norm_r):
+    """_cosine_distance as written with np.linalg.norm and a full finiteness check."""
+    theta = np.asarray(theta, dtype=float)
+    norm_t = float(np.linalg.norm(theta))
+    if norm_t == 0.0 or norm_r == 0.0 or not np.all(np.isfinite(theta)):
+        return None
+    return float(1.0 - theta @ reference / (norm_t * norm_r))
+
+
+class TestDirectNorm:
+    def test_sqrt_dot_equals_linalg_norm(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 10, 33, 100):
+            for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+                v = scale * rng.standard_normal(n)
+                assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+                tail = scale * rng.standard_normal((n, 5))  # columns of a C-ordered block, as in NoisyLinRel
+                diff = tail[:, 1] - tail[:, 3]
+                assert math.sqrt(diff.dot(diff)) == np.linalg.norm(diff)
+
+    def test_cosine_distance_unchanged(self):
+        rng = np.random.default_rng(23)
+        reference = rng.standard_normal(6)
+        norm_r = float(np.linalg.norm(reference))
+        cases = [rng.standard_normal(6) * s for s in (1e-200, 1e-3, 1.0, 1e3, 1e200)]
+        cases += [np.zeros(6), np.full(6, 1e300)]  # the second's norm overflows, its entries do not
+        for bad in (np.inf, -np.inf, np.nan):
+            theta = rng.standard_normal(6)
+            theta[2] = bad
+            cases.append(theta)
+        for theta in cases:
+            with np.errstate(over="ignore"):  # both overflow alike on the 1e300 entries
+                expected = _cosine_distance_by_norm(theta, reference, norm_r)
+                assert repr(_cosine_distance(theta, reference, norm_r)) == repr(expected)
+        for theta in cases[-3:]:
+            assert _cosine_distance(theta, reference, norm_r) is None
+        assert _cosine_distance(None, reference, norm_r) is None
+        assert _cosine_distance(reference, reference, 0.0) is None
 
 
 class TestEmitOutputs:
