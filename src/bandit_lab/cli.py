@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -13,10 +12,12 @@ import numpy as np
 
 from . import env as envmod
 from .gradient import GradientConfig, gradient_norm_table
-from .policies import _number
 from .runner import (
     ConfigError,
     DataFormatError,
+    _integer,
+    _number,
+    _numbers,
     emit_outputs,
     load_run_config,
     read_json_object,
@@ -88,16 +89,6 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _table_int(doc: dict, key: str, default: int, minimum: float = 1) -> int:
-    """doc[key], or the default, as a JSON integer of at least minimum."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key!r} must be at least {minimum}, got {value}")
-    return value
-
-
 def _cmd_gradtable(args) -> int:
     doc = read_json_object(args.config)
     names = doc.get("distributions", list(TABLE_DISTRIBUTIONS))
@@ -107,26 +98,21 @@ def _cmd_gradtable(args) -> int:
         distributions = [(name, TABLE_DISTRIBUTIONS[name]()) for name in names]
     except KeyError as exc:
         raise ConfigError(f"unknown distribution {exc}") from exc
-    d = _table_int(doc, "d", 10)
-    noise_diag = doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)])
-    try:
-        noise_var = np.asarray(noise_diag, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise_diag: {exc}") from exc
-    if noise_var.shape != (d,) or not np.all(noise_var > 0):
-        raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_diag!r}")
-    mc_noise_samples = _table_int(doc, "mc_noise_samples", 1000)
-    feature_samples = _table_int(doc, "feature_samples", 10_000)
-    try:
-        cfg = GradientConfig(mc_noise_samples, _number("fd_step", doc.get("fd_step", 1e-2)), feature_samples)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fd_step: {exc}") from exc
+    d = _integer("d", doc.get("d", 10), minimum=1)
+    noise_var = _numbers("noise_diag", doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)]), (d,))
+    if not np.all(noise_var > 0):
+        raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_var.tolist()!r}")
+    mc_noise_samples = _integer("mc_noise_samples", doc.get("mc_noise_samples", 1000), minimum=1)
+    feature_samples = _integer("feature_samples", doc.get("feature_samples", 10_000), minimum=1)
+    fd_step = _number("fd_step", doc.get("fd_step", 1e-2))
+    if not fd_step > 0:
+        raise ConfigError(f"'fd_step' must be positive, got {fd_step!r}")
     rows = gradient_norm_table(
         distributions,
-        theta_star_seed=_table_int(doc, "theta_star_seed", 0, minimum=-math.inf),
+        theta_star_seed=_integer("theta_star_seed", doc.get("theta_star_seed", 0)),
         noise_cov=np.diag(noise_var),
-        cfg=cfg,
-        k_arms=_table_int(doc, "K", 5),
+        cfg=GradientConfig(mc_noise_samples, fd_step, feature_samples),
+        k_arms=_integer("K", doc.get("K", 5), minimum=1),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -274,8 +274,8 @@ class FeatureDistribution:
 
     @classmethod
     def iid(cls, family) -> "FeatureDistribution":
-        if family.variance() <= 0:
-            raise ValueError("family variance must be positive")
+        if not 0 < family.variance() < math.inf:
+            raise ValueError("family variance must be positive and finite")
         return cls(kind="iid", family=family)
 
     def sample(self, rng, n: int, d: int) -> np.ndarray:
@@ -309,7 +309,7 @@ def _acceptance_bound(eigenvalues: np.ndarray, radius: float) -> float:
     The exponent is convex in s with its minimum in [0, d / (2 r^2)], found
     by bisection on the sign of its slope.
     """
-    r2 = float(radius) ** 2
+    r2 = float(radius) * float(radius)  # inf rather than an OverflowError from **
     if r2 >= eigenvalues.sum():
         return 1.0
     if r2 == 0.0:

@@ -10,7 +10,6 @@ is the only mutation point of a policy's state.
 
 import logging
 import math
-import numbers
 
 import numpy as np
 
@@ -66,20 +65,6 @@ def posterior_feature_mean(x, feature_cov, noise_cov) -> np.ndarray:
     n = np.asarray(noise_cov, dtype=float)
     precision = np.linalg.inv(f) + np.linalg.inv(n)
     return np.linalg.solve(precision, np.linalg.solve(n, np.asarray(x, dtype=float)))
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a bool, a float or a string is a TypeError naming the param."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name!r} takes integers, got {value!r}")
-    return int(value)
-
-
-def _number(name: str, value) -> float:
-    """value as a float; a bool or a string is a TypeError naming the param."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name!r} takes numbers, got {value!r}")
-    return float(value)
 
 
 def candidate_set(rewards, pairwise_width) -> list[int]:
@@ -140,7 +125,7 @@ class ScriptedPolicy(Policy):
     def __init__(self, arms):
         if not arms:
             raise ValueError("need at least one scripted arm")
-        self.arms = [_integer("arms", a) for a in arms]
+        self.arms = list(arms)
         self._i = 0
 
     def select(self, t, x, rng) -> int:
@@ -166,7 +151,7 @@ class NoisyLinRel(Policy):
     name = "noisy_linrel"
 
     def __init__(self, d: int, alpha_exponent: float = ALPHA_EXPONENT_DEFAULT):
-        if not 0.5 < _number("alpha_exponent", alpha_exponent) < 1.0:
+        if not 0.5 < alpha_exponent < 1.0:
             raise ValueError("alpha_exponent must lie in (1/2, 1)")
         self.d = d
         self.alpha_exponent = alpha_exponent
@@ -227,7 +212,7 @@ class ExploreThenCommitGreedy(Policy):
 
     def __init__(self, d: int, horizon: int, tau: int | None = None):
         self.d = d
-        self.tau = _exploration_length(horizon) if tau is None else _integer("tau", tau)
+        self.tau = _exploration_length(horizon) if tau is None else tau
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         self.X = np.zeros((d, d))
@@ -260,7 +245,7 @@ class LinUCB(Policy):
     name = "linucb"
 
     def __init__(self, d: int, ucb_alpha: float = 0.25):
-        if _number("ucb_alpha", ucb_alpha) < 0:
+        if ucb_alpha < 0:
             raise ValueError("ucb_alpha must be nonnegative")
         self.d = d
         self.ucb_alpha = ucb_alpha
@@ -356,9 +341,9 @@ class RegretGradientLinRel(Policy):
         mc_samples: int = 100,
         fd_step: float = 1e-2,
     ):
-        if _number("step_size", step_size) < 0 or _number("ucb_coeff", ucb_coeff) < 0:
+        if step_size < 0 or ucb_coeff < 0:
             raise ValueError("step_size and ucb_coeff must be nonnegative")
-        if _integer("mc_samples", mc_samples) < 1:
+        if mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
         self.estimator = NoisyLinRel(d, alpha_exponent)
         self.noise_cov = np.asarray(noise_cov, dtype=float)
@@ -375,7 +360,7 @@ class RegretGradientLinRel(Policy):
         else:
             self.feature_sets = max(n for n in range(1, GRADIENT_FEATURE_SETS + 1) if mc_samples % n == 0)
             self.spread_sample = feature_sampler(rng, SPREAD_FEATURE_SETS).reshape(-1, d)
-        self.grad_cfg = GradientConfig(mc_noise_samples=mc_samples // self.feature_sets, fd_step=_number("fd_step", fd_step))
+        self.grad_cfg = GradientConfig(mc_noise_samples=mc_samples // self.feature_sets, fd_step=fd_step)
         self.descent = np.zeros(d)
         self.correction = np.zeros(d)
         self.gradient_steps = 0

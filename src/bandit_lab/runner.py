@@ -92,12 +92,58 @@ class RunConfig:
     policies: tuple
     seeds: tuple
     metrics: tuple = ("cum_regret", "rel_regret", "cos_dist")
-    output_path: str = ""
 
 
 # ---------------------------------------------------------------------------
 # JSON config parsing
 # ---------------------------------------------------------------------------
+#
+# Each config value's JSON type is decided here, by one of the readers below;
+# each raises a ConfigError that names the key.
+
+
+def _integer(key: str, value, minimum: int | None = None) -> int:
+    """A JSON integer, at least minimum if one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} takes integers, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key!r} must be at least {minimum}, got {value}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    """A JSON number as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key!r} takes numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the range of a double
+        raise ConfigError(f"{key!r} overflows a double") from None
+
+
+def _numbers(key: str, value, shape: tuple) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array of exactly this shape."""
+    items = [value]
+    for n in shape:
+        if not all(isinstance(item, list) and len(item) == n for item in items):
+            raise ConfigError(f"{key!r} takes numbers in shape {shape}, got {value!r}")
+        items = [x for item in items for x in item]
+    return np.array([_number(key, x) for x in items]).reshape(shape)
+
+
+def _integers(key: str, value) -> list:
+    """A JSON list of integers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} takes a list of integers, got {value!r}")
+    return [_integer(key, x) for x in value]
+
+
+def _string(key: str, value) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} takes a string, got {value!r}")
+    return value
+
 
 _FAMILY_CLASSES = {
     "gaussian": envmod.GaussianFamily,
@@ -112,61 +158,51 @@ _FAMILY_CLASSES = {
 def parse_family(spec: dict):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"family spec must be an object with a 'name': {spec!r}")
-    name = spec["name"]
+    name = _string("name", spec["name"])
     cls = _FAMILY_CLASSES.get(name)
     if cls is None:
         raise ConfigError(f"unknown family {name!r}")
-    params = {}
-    for key, value in spec.items():
-        if key in ("first", "second"):  # a mixture's components
-            params[key] = parse_family(value)
-        elif key != "name":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"family {name!r} parameter {key!r} must be a number, got {value!r}")
-            params[key] = value
+    params = {
+        key: parse_family(value) if key in ("first", "second") else _number(key, value)  # a mixture's components
+        for key, value in spec.items()
+        if key != "name"
+    }
     try:
         return cls(**params)
     except (TypeError, ValueError) as exc:  # a missing or unknown field, or a bad value
         raise ConfigError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
-def parse_feature_distribution(spec: dict) -> envmod.FeatureDistribution:
+def parse_feature_distribution(spec: dict, d: int) -> envmod.FeatureDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("feature_distribution must be an object with a 'kind'")
     kind = spec["kind"]
     try:
         if kind == "multivariate_gaussian":
-            return envmod.FeatureDistribution.multivariate_gaussian(spec["covariance"])
+            return envmod.FeatureDistribution.multivariate_gaussian(_numbers("covariance", spec.get("covariance"), (d, d)))
         if kind == "iid":
-            return envmod.FeatureDistribution.iid(parse_family(spec["family"]))
-    except (KeyError, ValueError, np.linalg.LinAlgError) as exc:
+            return envmod.FeatureDistribution.iid(parse_family(spec.get("family")))
+    except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"bad feature_distribution: {exc}") from exc
+    except OverflowError as exc:  # a family's mean or variance
+        raise ConfigError(f"feature_distribution moments overflow a double: {exc}") from exc
     raise ConfigError(f"unknown feature_distribution kind {kind!r}")
 
 
 def _parse_covariance(spec, d: int) -> np.ndarray:
     if isinstance(spec, dict) and "diag" in spec:
-        diag = np.asarray(spec["diag"], dtype=float)
-        if diag.shape != (d,):
-            raise ConfigError(f"noise diag length {diag.shape} does not match d={d}")
-        return np.diag(diag)
-    cov = np.asarray(spec, dtype=float)
-    if cov.shape != (d, d):
-        raise ConfigError(f"noise covariance shape {cov.shape} does not match d={d}")
-    return cov
+        return np.diag(_numbers("diag", spec["diag"], (d,)))
+    return _numbers("covariance", spec, (d, d))
 
 
 def parse_noise_model(spec: dict, d: int) -> envmod.NoiseModel:
     if not isinstance(spec, dict):
         raise ConfigError("noise must be an object")
-    mode = spec.get("mode", "per_arm")
+    covariance = _parse_covariance(spec["covariance"], d) if "covariance" in spec else np.eye(d)
+    radius = _number("truncation_radius", spec["truncation_radius"]) if "truncation_radius" in spec else None
     try:
-        return envmod.NoiseModel(
-            mode=mode,
-            covariance=_parse_covariance(spec.get("covariance", np.eye(d)), d),
-            truncation_radius=spec.get("truncation_radius"),
-        )
-    except (TypeError, ValueError, np.linalg.LinAlgError) as exc:
+        return envmod.NoiseModel(mode=spec.get("mode", "per_arm"), covariance=covariance, truncation_radius=radius)
+    except (ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"bad noise model: {exc}") from exc
 
 
@@ -201,34 +237,17 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(env_spec, dict):
         raise ConfigError("config needs an 'environment' object")
     policies = _parse_policy_specs(doc.get("policies"))
-    seeds = doc.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
+    seeds = tuple(_integers("seeds", doc.get("seeds")))
+    if not seeds:
         raise ConfigError("config needs a nonempty integer list 'seeds'")
-    try:
-        seeds = [polmod._integer("seeds", s) for s in seeds]
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
     metrics = doc.get("metrics", ["cum_regret", "rel_regret", "cos_dist"])
     if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
         raise ConfigError(f"'metrics' must be a list of metric names, got {metrics!r}")
     for m in metrics:
         if m not in ALLOWED_METRICS:
             raise ConfigError(f"unknown metric {m!r}")
-    cfg = RunConfig(
-        env_spec=env_spec,
-        policies=policies,
-        seeds=tuple(seeds),
-        metrics=tuple(metrics),
-        output_path=doc.get("output_path", ""),
-    )
-    environment_for_seed(cfg.env_spec, seeds[0])  # fail before any round runs
-    for spec in policies:
-        if spec.name not in POLICY_BUILDERS:
-            raise ConfigError(f"unknown policy {spec.name!r}")
-        for key in spec.params:
-            if key not in POLICY_PARAMS.get(spec.name, ()):
-                raise ConfigError(f"unknown parameter {key!r} for policy {spec.name!r}")
-    return cfg
+    environment_for_seed(env_spec, seeds[0])  # fail before any round runs
+    return RunConfig(env_spec=env_spec, policies=policies, seeds=seeds, metrics=tuple(metrics))
 
 
 def _parse_policy_specs(raw) -> tuple:
@@ -237,17 +256,19 @@ def _parse_policy_specs(raw) -> tuple:
     specs = []
     for item in raw:
         if isinstance(item, str):
-            specs.append(PolicySpec(name=item))
-        elif isinstance(item, dict) and "name" in item and isinstance(item.get("params", {}), dict):
-            specs.append(
-                PolicySpec(
-                    name=item["name"],
-                    params=item.get("params", {}),
-                    label=item.get("label", ""),
-                )
-            )
-        else:
+            item = {"name": item}
+        if not (isinstance(item, dict) and "name" in item and isinstance(item.get("params", {}), dict)):
             raise ConfigError(f"bad policy spec {item!r}")
+        name = _string("name", item["name"])
+        if name not in POLICY_BUILDERS:
+            raise ConfigError(f"unknown policy {name!r}")
+        readers = POLICY_PARAMS.get(name, {})
+        params = {}
+        for key, value in item.get("params", {}).items():
+            if key not in readers:
+                raise ConfigError(f"unknown parameter {key!r} for policy {name!r}")
+            params[key] = readers[key](key, value)
+        specs.append(PolicySpec(name=name, params=params, label=_string("label", item.get("label", ""))))
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise ConfigError("policy labels must be unique")
@@ -261,20 +282,15 @@ def environment_for_seed(env_spec: dict, seed: int) -> envmod.EnvironmentConfig:
     drawn from the seed (coordinates uniform on [-1, 1], rescaled into the
     unit ball only when needed).
     """
-    try:
-        K, d, T = (polmod._integer(key, env_spec[key]) for key in ("K", "d", "T"))
-        reward_noise_sigma = polmod._number("reward_noise_sigma", env_spec.get("reward_noise_sigma", 0.0))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"environment needs integer K, d, T and a numeric reward_noise_sigma: {exc}") from exc
-    dist = parse_feature_distribution(env_spec.get("feature_distribution", {"kind": "iid", "family": {"name": "gaussian"}}))
+    K, d, T = (_integer(key, env_spec.get(key), minimum=1) for key in ("K", "d", "T"))
+    reward_noise_sigma = _number("reward_noise_sigma", env_spec.get("reward_noise_sigma", 0.0))
+    dist = parse_feature_distribution(env_spec.get("feature_distribution", {"kind": "iid", "family": {"name": "gaussian"}}), d)
     noise = parse_noise_model(env_spec.get("noise", {}), d)
     theta_spec = env_spec.get("theta_star", "random")
-    if isinstance(theta_spec, str):
-        if theta_spec != "random":
-            raise ConfigError(f"theta_star must be a vector or 'random', got {theta_spec!r}")
+    if theta_spec == "random":
         theta = envmod.draw_theta_star(d, envmod.keyed_rng(seed, 0, envmod.LANE_THETA))
     else:
-        theta = np.asarray(theta_spec, dtype=float)
+        theta = _numbers("theta_star", theta_spec, (d,))
     try:
         return envmod.EnvironmentConfig(
             K=K,
@@ -352,13 +368,14 @@ POLICY_BUILDERS = {
 }
 
 # The keyword params each builder passes to its policy's constructor, which
-# holds their defaults; parse_run_config rejects any other key.
+# holds their defaults, each with the reader of its JSON type; parsing
+# rejects any other key.
 POLICY_PARAMS = {
-    "scripted": ("arms",),
-    "noisy_linrel": ("alpha_exponent",),
-    "greedy": ("tau",),
-    "linucb": ("ucb_alpha",),
-    "gradient_linrel": ("alpha_exponent", "step_size", "ucb_coeff", "mc_samples", "fd_step"),
+    "scripted": {"arms": _integers},
+    "noisy_linrel": {"alpha_exponent": _number},
+    "greedy": {"tau": _integer},
+    "linucb": {"ucb_alpha": _number},
+    "gradient_linrel": {"alpha_exponent": _number, "step_size": _number, "ucb_coeff": _number, "mc_samples": _integer, "fd_step": _number},
 }
 
 
@@ -369,7 +386,7 @@ def build_policy(spec: PolicySpec, ctx: PolicyContext) -> polmod.Policy:
         raise ConfigError(f"unknown policy {spec.name!r}") from None
     try:
         return builder(ctx, dict(spec.params))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad parameters for policy {spec.name!r}: {exc}") from exc
@@ -409,9 +426,12 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
     noise_cov = ctx_fields["noise_cov"]
     for t, x, info in rounds:
         for i, (policy, policy_rng) in enumerate(players):
-            arm = policy.select(t, x, policy_rng)
-            y = payoff(info, arm)
-            policy.observe(t, arm, x[arm], y, noise_cov)
+            try:
+                arm = policy.select(t, x, policy_rng)
+                y = payoff(info, arm)
+                policy.observe(t, arm, x[arm], y, noise_cov)
+            except (ValueError, np.linalg.LinAlgError) as exc:  # e.g. running sums that overflowed a double
+                raise ConfigError(f"policy {specs[i].label!r} stopped at round {t} of seed {seed}: {exc}") from exc
             yield i, policy, info, arm, y
 
 
@@ -446,7 +466,10 @@ def _records_in_output_order(specs, seeds, rounds: int, steps):
     held = []  # per seed, one block per later policy
     for seed in seeds:
         cum = [0.0] * len(specs)
-        blocks = [np.empty((rounds, 6)) for _ in specs[1:]]
+        try:
+            blocks = [np.empty((rounds, 6)) for _ in specs[1:]]
+        except (ValueError, MemoryError) as exc:  # the rows of T rounds cannot be held
+            raise ConfigError(f"'T' = {rounds} rounds are too many to hold in memory: {exc}") from exc
         for i, t, arm, y, inst, rel, cos in steps(seed):
             cum[i] += inst
             if i == 0:

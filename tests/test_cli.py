@@ -96,6 +96,25 @@ class TestRunCommand:
         cfg.write_text(cfg.read_text().replace('"reward_noise_sigma": 0.1', '"reward_noise_sigma": 1e400'))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_overflowing_running_sums_exit_config(self, tmp_path, capsys):
+        # Features near 1e300 overflow noisy_linrel's sum of outer products in round 2.
+        cfg = write_config(tmp_path / "cfg.json", policies=["noisy_linrel"])
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["feature_distribution"]["family"]["mean"] = 1e300
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "policy 'noisy_linrel' stopped at round 2 of seed 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_horizon_beyond_a_double_exits_config(self, tmp_path, capsys):
+        # greedy's default tau is floor(T ** (2/3)), computed through a float
+        cfg = write_config(tmp_path / "cfg.json", policies=["greedy"])
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["T"] = 10**400
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'greedy'" in capsys.readouterr().err
+
     def test_misspelled_policy_param_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "linucb", "params": {"ucb_alpah": 9}}])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -324,7 +343,7 @@ class TestGradtableCommand:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ({"d": "x"}, "'d' must be an integer"),
+            ({"d": "x"}, "'d' takes integers"),
             ({"mc_noise_samples": 0}, "'mc_noise_samples' must be at least 1"),
             ({"noise_diag": [0, 1], "d": 2}, "noise_diag must hold d=2 positive numbers"),
             ({"K": 0}, "'K' must be at least 1"),
@@ -365,3 +384,67 @@ class TestDiagnoseCommand:
     def test_per_arm_noise_exits_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "uniform"}])
         assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+
+
+MVN = "multivariate_gaussian"
+
+
+@pytest.mark.parametrize(
+    "command, path, value, key",
+    [
+        # Each of these ended in a traceback before every value's JSON type was read in one place.
+        ("run", ("environment", "theta_star"), {"a": 1}, "'theta_star'"),
+        ("run", ("environment", "feature_distribution"), {"kind": MVN, "covariance": {"a": 1}}, "'covariance'"),
+        ("run", ("environment", "feature_distribution", "family", "name"), ["gaussian"], "'name'"),
+        ("run", ("policies", 0, "name"), ["uniform"], "'name'"),
+        ("run", ("policies", 0, "label"), ["a"], "'label'"),
+        # Each of these ran to exit 0, reading bools or strings as numbers.
+        ("run", ("environment", "noise", "truncation_radius"), True, "'truncation_radius'"),
+        ("run", ("environment", "theta_star"), ["0.5", "0.1"], "'theta_star'"),
+        ("run", ("environment", "noise", "covariance"), {"diag": [True, True]}, "'diag'"),
+        ("run", ("environment", "noise", "covariance"), [["0.2", "0"], ["0", "0.3"]], "'covariance'"),
+        ("run", ("environment", "feature_distribution"), {"kind": MVN, "covariance": [["1", "0"], ["0", "1"]]}, "'covariance'"),
+        ("run", ("policies", 0, "label"), 5, "'label'"),
+        ("gradtable", ("noise_diag",), [True, True], "'noise_diag'"),
+        # Families whose mean or variance overflows a double, rows too many to hold, and an integer that does.
+        ("run", ("environment", "feature_distribution", "family"), {"name": "lognormal", "sigma": 30}, "feature_distribution"),
+        ("run", ("environment", "feature_distribution", "family"), {"name": "gaussian", "std": 1e300}, "feature_distribution"),
+        ("run", ("environment", "feature_distribution", "family"), {"name": "uniform", "low": -1e308, "high": 1e308}, "feature_distribution"),
+        ("run", ("environment", "T"), 10**30, "'T'"),
+        ("run", ("environment", "reward_noise_sigma"), 10**400, "'reward_noise_sigma'"),
+    ],
+    ids=[
+        "theta_star-object",
+        "mvn-covariance-object",
+        "family-name-list",
+        "policy-name-list",
+        "label-list",
+        "truncation_radius-bool",
+        "theta_star-strings",
+        "diag-bools",
+        "noise-covariance-strings",
+        "mvn-covariance-strings",
+        "label-number",
+        "noise_diag-bools",
+        "lognormal-mean-overflows",
+        "gaussian-variance-overflows",
+        "uniform-variance-infinite",
+        "huge-T",
+        "integer-beyond-a-double",
+    ],
+)
+def test_rejected_value_exits_config_naming_the_key(tmp_path, capsys, command, path, value, key):
+    if command == "run":
+        doc = json.loads(write_config(tmp_path / "cfg.json").read_text())
+    else:
+        doc = {"distributions": ["gaussian"], "d": 2, "feature_samples": 2, "mc_noise_samples": 2}
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()

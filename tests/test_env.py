@@ -147,6 +147,9 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="truncation radius"):
             NoiseModel("per_arm", np.eye(2), truncation_radius=1e-3)
 
+    def test_radius_whose_square_overflows_holds_every_draw(self):
+        assert NoiseModel("per_arm", np.eye(2), truncation_radius=1e300).radius() == 1e300
+
     def test_rejects_nan_radius(self):
         with pytest.raises(ValueError, match="positive"):
             NoiseModel("per_arm", np.eye(2), truncation_radius=float("nan"))

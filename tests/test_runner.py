@@ -123,7 +123,7 @@ class TestConfigParsing:
             names = re.findall(r"`([^`]+)`", clause)
             if names:
                 listed[names[0]] = tuple(names[1:])
-        assert listed == POLICY_PARAMS
+        assert listed == {name: tuple(params) for name, params in POLICY_PARAMS.items()}
 
     def test_random_theta_star_per_seed(self):
         a = environment_for_seed(base_env_spec(theta_star="random"), 0)
