@@ -1,7 +1,7 @@
 """Golden digests: the bytes of small pinned runs must not change.
 
-Each case writes a CSV through the public runner API and compares its
-SHA-256 with a recorded value. Dimensions stay at d <= 3, where BLAS
+Each case writes a CSV (and, for emission, the SVG charts) through the
+public runner API and compares its SHA-256 with a recorded value. Dimensions stay at d <= 3, where BLAS
 threading cannot change the floating-point results. A refactor of the
 round loops must keep every digest; a deliberate change in output must
 state itself and re-record the affected digest.
@@ -15,6 +15,7 @@ import pytest
 from bandit_lab.runner import (
     PolicySpec,
     ReplayDataset,
+    emit_outputs,
     parse_run_config,
     run_diagnostics,
     run_replay,
@@ -72,6 +73,32 @@ EXPECTED = {
     "diagnostics": "0ee9a71d297b0be6d534605c92e5ea6bf76e6a7ae2cbf38b5f5089c1b74c5cdc",
 }
 
+# Nine seeds put at least 8 values into a round's mean, so the charts'
+# averages go through numpy's pairwise summation. uniform has no cos_dist,
+# noisy_linrel's cos_dist is missing for some seeds in early rounds, oracle_cf
+# plays one fixed coefficient (no min/max band) and two labels need CSV quoting.
+EMISSION_ENV = {
+    "K": 3,
+    "d": 2,
+    "T": 20,
+    "theta_star": [0.6, -0.5],
+    "feature_distribution": {"kind": "iid", "family": {"name": "gaussian"}},
+    "noise": {"mode": "per_arm", "covariance": {"diag": [0.3, 0.2]}},
+    "reward_noise_sigma": 0.1,
+}
+EMISSION_POLICIES = [
+    "uniform",
+    {"name": "noisy_linrel", "label": 'say "hi"'},
+    {"name": "linucb", "label": "a,b"},
+    "oracle_cf",
+]
+EXPECTED_EMISSION = {
+    "results.csv": "ad4185d39a46e51965b2a20de9ac031bc3c328d6edce36bc187d8d4b62a66349",
+    "chart_cum_regret.svg": "81d1bea51851c18cd2bfc64be5b4539b3cd3c5dba37f058af1894678ebbd0e88",
+    "chart_rel_regret.svg": "1c160c2e6528c02b29be36a05f36302591679570005db0782d54a5d08a451a88",
+    "chart_cos_dist.svg": "d7f201861d7d8b3efe681e5246fd673ac0c6978e07e2aebc12431d19156d6e75",
+}
+
 
 def digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -116,3 +143,9 @@ def test_diagnostics_digest(tmp_path):
     path = tmp_path / "diagnostics.csv"
     write_diagnostics_csv(path, run_diagnostics(config(env, ["noisy_linrel"])))
     assert digest(path) == EXPECTED["diagnostics"]
+
+
+def test_emitted_outputs_digest(tmp_path):
+    cfg = parse_run_config({"environment": EMISSION_ENV, "policies": EMISSION_POLICIES, "seeds": list(range(9))})
+    written = emit_outputs(run_simulation(cfg), tmp_path, charts=True)
+    assert {path.name: digest(path) for path in written} == EXPECTED_EMISSION
