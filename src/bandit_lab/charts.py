@@ -25,6 +25,17 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(values, dtype=float) - lo) * (out_hi - out_lo) / (hi - lo)
 
 
+def _escape(text: str) -> str:
+    """text with &, < and > escaped, as xml.sax.saxutils.escape does; importing
+    that module pulls in urllib.request and adds ~7 MB of resident memory."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _points(xs: list, ys: list) -> str:
+    """SVG points text of coordinate lists of Python floats."""
+    return " ".join(map("{:.1f},{:.1f}".format, xs, ys))
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
@@ -45,7 +56,7 @@ def write_line_chart_svg(path, title: str, series: dict) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{(plot_l + plot_r) / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{(plot_l + plot_r) / 2:.1f}" y="20" text-anchor="middle" font-size="15">{_escape(title)}</text>',
         f'<line x1="{plot_l}" y1="{plot_b}" x2="{plot_r}" y2="{plot_b}" stroke="black"/>',
         f'<line x1="{plot_l}" y1="{plot_t}" x2="{plot_l}" y2="{plot_b}" stroke="black"/>',
     ]
@@ -60,22 +71,20 @@ def write_line_chart_svg(path, title: str, series: dict) -> None:
 
     for idx, (label, (ts, mean, lo, hi)) in enumerate(sorted(series.items())):
         color = _COLORS[idx % len(_COLORS)]
-        xs = _scale(ts, x_lo, x_hi, plot_l, plot_r)
+        xs = _scale(ts, x_lo, x_hi, plot_l, plot_r).tolist()
         if not np.array_equal(lo, hi):
-            ys_lo = _scale(lo, y_lo, y_hi, plot_b, plot_t)
-            ys_hi = _scale(hi, y_lo, y_hi, plot_b, plot_t)
-            band = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys_hi))
-            band += " " + " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs[::-1], ys_lo[::-1]))
+            ys_lo = _scale(lo, y_lo, y_hi, plot_b, plot_t).tolist()
+            ys_hi = _scale(hi, y_lo, y_hi, plot_b, plot_t).tolist()
+            band = _points(xs, ys_hi) + " " + _points(xs[::-1], ys_lo[::-1])
             parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        ys = _scale(mean, y_lo, y_hi, plot_b, plot_t)
-        points = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
+        points = _points(xs, _scale(mean, y_lo, y_hi, plot_b, plot_t).tolist())
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         legend_y = plot_t + 16 * idx
         parts.append(
             f'<line x1="{plot_r + 10}" y1="{legend_y}" x2="{plot_r + 30}" y2="{legend_y}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(f'<text x="{plot_r + 35}" y="{legend_y + 4}">{label}</text>')
+        parts.append(f'<text x="{plot_r + 35}" y="{legend_y + 4}">{_escape(label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

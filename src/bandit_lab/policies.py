@@ -239,7 +239,8 @@ class LinUCB(Policy):
     """Ridge regression on observed features with an ellipsoidal bonus.
 
     A and b change only in observe, so the coefficient solve(A, b) is kept
-    from current_theta or select until the next observe.
+    from current_theta or select until the next observe. observe raises
+    ValueError once A or b is no longer finite.
     """
 
     name = "linucb"
@@ -261,6 +262,9 @@ class LinUCB(Policy):
         self.A += np.outer(x_arm, x_arm)
         self.b += y * np.asarray(x_arm, dtype=float)
         self._theta = None
+        # solve() returns NaN for non-finite sums instead of raising
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise ValueError("running sums A and b must be finite")
 
     def current_theta(self):
         if self._theta is None:

@@ -8,8 +8,10 @@ CSV files.
 """
 
 import csv
+import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,13 @@ __all__ = [
 RESULTS_HEADER = ["t", "policy", "seed", "arm", "reward", "inst_regret", "cum_regret", "rel_regret", "cos_dist"]
 DIAGNOSTICS_HEADER = ["t", "policy", "seed", "norm_n1", "norm_n2", "norm_n3"]
 ALLOWED_METRICS = ("cum_regret", "rel_regret", "cos_dist", "diagnostics")
+CHART_METRICS = ("cum_regret", "rel_regret", "cos_dist")
+# The random streams are keyed by the seed's 64 bits, so larger or negative
+# seeds would replay the stream of another seed.
+MAX_SEED = 2**64 - 1
+# The most rounds whose (rounds, 6) float64 block of held rows numpy can
+# index; see _records_in_output_order.
+MAX_ROUNDS = np.iinfo(np.intp).max // (6 * np.dtype(np.float64).itemsize)
 
 
 class ConfigError(ValueError):
@@ -102,12 +111,14 @@ class RunConfig:
 # each raises a ConfigError that names the key.
 
 
-def _integer(key: str, value, minimum: int | None = None) -> int:
-    """A JSON integer, at least minimum if one is given."""
+def _integer(key: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """A JSON integer, within [minimum, maximum] where they are given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key!r} takes integers, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key!r} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key!r} must be at most {maximum}, got {value}")
     return value
 
 
@@ -131,11 +142,11 @@ def _numbers(key: str, value, shape: tuple) -> np.ndarray:
     return np.array([_number(key, x) for x in items]).reshape(shape)
 
 
-def _integers(key: str, value) -> list:
-    """A JSON list of integers."""
+def _integers(key: str, value, minimum: int | None = None, maximum: int | None = None) -> list:
+    """A JSON list of integers, each within [minimum, maximum] where they are given."""
     if not isinstance(value, list):
         raise ConfigError(f"{key!r} takes a list of integers, got {value!r}")
-    return [_integer(key, x) for x in value]
+    return [_integer(key, x, minimum, maximum) for x in value]
 
 
 def _string(key: str, value) -> str:
@@ -237,7 +248,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(env_spec, dict):
         raise ConfigError("config needs an 'environment' object")
     policies = _parse_policy_specs(doc.get("policies"))
-    seeds = tuple(_integers("seeds", doc.get("seeds")))
+    seeds = tuple(_integers("seeds", doc.get("seeds"), minimum=0, maximum=MAX_SEED))
     if not seeds:
         raise ConfigError("config needs a nonempty integer list 'seeds'")
     metrics = doc.get("metrics", ["cum_regret", "rel_regret", "cos_dist"])
@@ -282,7 +293,8 @@ def environment_for_seed(env_spec: dict, seed: int) -> envmod.EnvironmentConfig:
     drawn from the seed (coordinates uniform on [-1, 1], rescaled into the
     unit ball only when needed).
     """
-    K, d, T = (_integer(key, env_spec.get(key), minimum=1) for key in ("K", "d", "T"))
+    K, d = (_integer(key, env_spec.get(key), minimum=1) for key in ("K", "d"))
+    T = _integer("T", env_spec.get("T"), minimum=1, maximum=MAX_ROUNDS)
     reward_noise_sigma = _number("reward_noise_sigma", env_spec.get("reward_noise_sigma", 0.0))
     dist = parse_feature_distribution(env_spec.get("feature_distribution", {"kind": "iid", "family": {"name": "gaussian"}}), d)
     noise = parse_noise_model(env_spec.get("noise", {}), d)
@@ -705,6 +717,8 @@ def run_diagnostics(cfg: RunConfig):
 
 
 def _format_value(value) -> str:
+    if type(value) is float:  # the common case, tested first
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -712,23 +726,31 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
+def _csv_field(value) -> str:
+    """value as csv.writer writes it among other fields (quoted only where needed)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]  # without the empty field's ",\n"
+
+
 def write_records_csv(path, records) -> None:
+    """Write records as results.csv, one formatted line per record.
+
+    The bytes are those of a csv.writer row of (t, policy, seed, arm) and the
+    _format_value of each metric; each policy label is quoted once.
+    """
+    fmt = _format_value
+    labels: dict = {}  # policy -> its CSV field
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
+        write = fh.write
+        write(",".join(RESULTS_HEADER) + "\n")
         for rec in records:
-            writer.writerow(
-                [
-                    rec.t,
-                    rec.policy,
-                    rec.seed,
-                    rec.arm,
-                    _format_value(rec.reward),
-                    _format_value(rec.inst_regret),
-                    _format_value(rec.cum_regret),
-                    _format_value(rec.rel_regret),
-                    _format_value(rec.cos_dist),
-                ]
+            label = labels.get(rec.policy)
+            if label is None:
+                label = labels[rec.policy] = _csv_field(rec.policy)
+            write(
+                f"{rec.t},{label},{rec.seed},{rec.arm},{fmt(rec.reward)},{fmt(rec.inst_regret)},"
+                f"{fmt(rec.cum_regret)},{fmt(rec.rel_regret)},{fmt(rec.cos_dist)}\n"
             )
 
 
@@ -777,8 +799,7 @@ def emit_outputs(records, output_dir, charts: bool = False) -> list:
         if charts:
             from .charts import write_line_chart_svg
 
-            for metric in ("cum_regret", "rel_regret", "cos_dist"):
-                series = _chart_series(records, metric)
+            for metric, series in _chart_series(records).items():
                 if not series:
                     continue
                 path = out / f"chart_{metric}.svg"
@@ -789,22 +810,47 @@ def emit_outputs(records, output_dir, charts: bool = False) -> list:
         raise OSError(f"cannot write outputs under {output_dir}: {exc}") from exc
 
 
-def _chart_series(records, metric):
-    """Per-policy (ts, mean, lo, hi) arrays of a metric, averaged across seeds."""
+def _chart_series(records) -> dict:
+    """Per chart metric, per-policy (ts, mean, lo, hi) arrays averaged across seeds.
+
+    One pass splits the records by policy, in record order; each policy's
+    records then become one column per field. A policy without a value of a
+    metric gets no series of it.
+    """
     by_policy: dict = {}
     for rec in records:
-        value = getattr(rec, metric)
-        if value is None:
-            continue
-        by_policy.setdefault(rec.policy, {}).setdefault(rec.t, []).append(value)
-    series = {}
-    for policy, per_t in by_policy.items():
-        ts = sorted(per_t)
-        mean = np.array([float(np.mean(per_t[t])) for t in ts])
-        lo = np.array([min(per_t[t]) for t in ts])
-        hi = np.array([max(per_t[t]) for t in ts])
-        series[policy] = (np.array(ts, dtype=float), mean, lo, hi)
+        by_policy.setdefault(rec.policy, []).append(rec)
+    fields = operator.attrgetter("t", *CHART_METRICS)
+    series: dict = {metric: {} for metric in CHART_METRICS}
+    for policy, recs in by_policy.items():
+        ts, *metric_values = (np.array(column, dtype=object) for column in zip(*map(fields, recs)))
+        for metric, values in zip(CHART_METRICS, metric_values):
+            present = values != None  # noqa: E711 -- elementwise: None marks a missing value
+            if present.any():
+                series[metric][policy] = _round_statistics(ts[present].astype(np.int64), values[present].astype(float))
     return series
+
+
+def _round_statistics(ts, values) -> tuple:
+    """(rounds, mean, lo, hi) of values grouped by their round ts.
+
+    A stable sort by round keeps each round's values in their given (seed)
+    order. Rounds holding the same number of values are reduced together as
+    the rows of one C-contiguous matrix, whose row mean is bitwise the
+    np.mean of the same values in that order.
+    """
+    order = np.argsort(ts, kind="stable")
+    ts, values = ts[order], values[order]
+    starts = np.flatnonzero(np.diff(ts, prepend=ts[0] - 1))
+    counts = np.diff(starts, append=len(ts))
+    mean, lo, hi = np.empty(len(starts)), np.empty(len(starts)), np.empty(len(starts))
+    for count in set(counts.tolist()):  # not np.unique, which imports numpy.ma (~1 MB)
+        rounds = np.flatnonzero(counts == count)
+        block = values[starts[rounds, None] + np.arange(count)]
+        mean[rounds] = block.mean(axis=1)
+        lo[rounds] = block.min(axis=1)
+        hi[rounds] = block.max(axis=1)
+    return ts[starts].astype(float), mean, lo, hi
 
 
 def write_diagnostics_csv(path, records) -> None:

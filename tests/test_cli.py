@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from bandit_lab import env as envmod
 from bandit_lab import policies as polmod
 from bandit_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
+from bandit_lab.runner import ConfigError, PolicyContext, PolicySpec, build_policy
 
 
 def write_config(path, **overrides):
@@ -107,13 +110,52 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
     def test_horizon_beyond_a_double_exits_config(self, tmp_path, capsys):
-        # greedy's default tau is floor(T ** (2/3)), computed through a float
+        # The run config bounds 'T' before any policy is built; built directly,
+        # greedy's default tau, floor(T ** (2/3)) computed through a float, overflows.
         cfg = write_config(tmp_path / "cfg.json", policies=["greedy"])
         doc = json.loads(cfg.read_text())
         doc["environment"]["T"] = 10**400
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "'greedy'" in capsys.readouterr().err
+        assert "'T' must be at most" in capsys.readouterr().err
+        ctx = PolicyContext(d=2, K=3, T=10**400, noise_cov=np.eye(2), rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="'greedy'"):
+            build_policy(PolicySpec(name="greedy"), ctx)
+
+    def test_huge_horizon_with_one_policy_exits_config(self, tmp_path):
+        # One policy holds no rows up front, so only the bound on 'T' stops
+        # this run; it goes in a subprocess with a deadline, so a regression
+        # fails instead of playing rounds until it is killed.
+        cfg = write_config(tmp_path / "cfg.json", policies=["uniform"])
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["T"] = 10**30
+        cfg.write_text(json.dumps(doc))
+        cmd = [sys.executable, "-m", "bandit_lab.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert "'T' must be at most" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_linucb_with_overflowing_sums_exits_config(self, tmp_path, capsys):
+        # Features near 1e300 overflow LinUCB's A = I + sum x x^T in round 1,
+        # and solve(A, b) then returns NaN without raising.
+        cfg = write_config(tmp_path / "cfg.json", policies=["linucb"])
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["feature_distribution"]["family"]["mean"] = 1e300
+        doc["environment"]["noise"]["mode"] = "identical"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "policy 'linucb' stopped at round 1 of seed 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_chart_labels_are_escaped(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", policies=["uniform", {"name": "linucb", "label": "R&D <x>"}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--charts"]) == EXIT_OK
+        for metric in ("cum_regret", "rel_regret", "cos_dist"):
+            root = ET.parse(out / f"chart_{metric}.svg").getroot()
+            assert "R&D <x>" in [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_misspelled_policy_param_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "linucb", "params": {"ucb_alpah": 9}}])
@@ -226,6 +268,18 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", seeds=seeds)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "'seeds'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", [[2**64, 0], [-1]], ids=["2**64", "-1"])
+    def test_seeds_outside_64_bits_exit_config(self, tmp_path, capsys, seeds):
+        # Draws are keyed by a seed's 64 bits, so seed 2**64 would replay seed 0.
+        cfg = write_config(tmp_path / "cfg.json", seeds=seeds)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'seeds'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", seeds=[2**64 - 1])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_scripted_arm_out_of_range_exits_before_any_round(self, tmp_path, capsys, monkeypatch):
         sampled = []

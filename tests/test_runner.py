@@ -1,3 +1,4 @@
+import csv
 import inspect
 import math
 import re
@@ -18,6 +19,8 @@ from bandit_lab.runner import (
     PolicyContext,
     PolicySpec,
     RunConfig,
+    RunRecord,
+    _chart_series,
     _cosine_distance,
     emit_outputs,
     environment_for_seed,
@@ -370,6 +373,100 @@ class TestEmitOutputs:
         emit_outputs(run_simulation(cfg), a, charts=True)
         emit_outputs(run_simulation(cfg), b, charts=True)
         assert (a / "chart_cum_regret.svg").read_bytes() == (b / "chart_cum_regret.svg").read_bytes()
+
+
+def _csv_writer_rows(path, records):
+    """The csv.writer formulation of write_records_csv, as reference."""
+
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "policy", "seed", "arm", "reward", "inst_regret", "cum_regret", "rel_regret", "cos_dist"])
+        for r in records:
+            values = (r.reward, r.inst_regret, r.cum_regret, r.rel_regret, r.cos_dist)
+            writer.writerow([r.t, r.policy, r.seed, r.arm] + [fmt(v) for v in values])
+
+
+def _chart_series_by_round(records, metric):
+    """Per-policy (ts, mean, lo, hi) of one metric, one round at a time, as reference."""
+    by_policy: dict = {}
+    for rec in records:
+        value = getattr(rec, metric)
+        if value is None:
+            continue
+        by_policy.setdefault(rec.policy, {}).setdefault(rec.t, []).append(value)
+    series = {}
+    for policy, per_t in by_policy.items():
+        ts = sorted(per_t)
+        mean = np.array([float(np.mean(per_t[t])) for t in ts])
+        lo = np.array([min(per_t[t]) for t in ts])
+        hi = np.array([max(per_t[t]) for t in ts])
+        series[policy] = (np.array(ts, dtype=float), mean, lo, hi)
+    return series
+
+
+class TestColumnarEmission:
+    def test_csv_lines_equal_csv_writer_rows(self, tmp_path):
+        labels = ["uniform", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " padded ", "", "R&D <x>", "naïve"]
+        values = [0.5, -0.0, 1e-300, 1.7976931348623157e308, math.inf, -math.inf, math.nan, None, 3, np.int64(-4), np.float64(0.1), True]
+        n = len(values)
+        records = [
+            RunRecord(
+                t=t,
+                policy=label,
+                seed=2**64 - 1 if t == 2 else t,
+                arm=np.int64(t % 3) if t % 2 else t % 3,
+                reward=values[t % n],
+                inst_regret=values[(t + 1) % n],
+                cum_regret=values[(t + 2) % n],
+                rel_regret=values[(t + 3) % n],
+                cos_dist=values[(t + 4) % n],
+            )
+            for label in labels
+            for t in range(1, 2 * n)
+        ]
+        write_records_csv(tmp_path / "lines.csv", records)
+        _csv_writer_rows(tmp_path / "rows.csv", records)
+        assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_chart_series_equals_per_round_loop(self):
+        # Ragged rounds with 1 to 40 values, and rounds of 128, 129 and 300
+        # values, past the blocks of numpy's pairwise summation.
+        rng = np.random.default_rng(5)
+        records = []
+        for p, seeds in enumerate([1, 2, 7, 8, 9, 17, 40, 128, 129, 300]):
+            rounds = 3 if seeds > 100 else 30
+            for seed in range(seeds):
+                cum = 0.0
+                for t in range(1, rounds + 1):
+                    scale = 10.0 ** rng.integers(-3, 4)
+                    cum += float(rng.exponential(scale))
+                    rel = float(rng.normal(0.0, scale)) if p % 3 else None
+                    cos = None if rng.random() < 0.3 else float(rng.random())
+                    records.append(
+                        RunRecord(t=t, policy=f"p{p}", seed=seed, arm=0, reward=0.0, inst_regret=0.0, cum_regret=cum, rel_regret=rel, cos_dist=cos)
+                    )
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        for recs in (records, shuffled):
+            series = _chart_series(recs)
+            assert list(series) == ["cum_regret", "rel_regret", "cos_dist"]
+            for metric, got in series.items():
+                expected = _chart_series_by_round(recs, metric)
+                assert sorted(got) == sorted(expected)
+                for policy, arrays in expected.items():
+                    for a, b in zip(got[policy], arrays):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (metric, policy)
+
+    def test_metric_without_values_gets_no_chart(self, tmp_path):
+        cfg = make_config(policies=("uniform",), seeds=(0, 1), T=10)
+        names = {p.name for p in emit_outputs(run_simulation(cfg), tmp_path, charts=True)}
+        assert names == {"results.csv", "chart_cum_regret.svg", "chart_rel_regret.svg"}
 
 
 class TestDiagnostics:
