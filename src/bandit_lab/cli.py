@@ -145,7 +145,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Overflowing sums surface as non-finite values, which the run checks
+        # and reports with exit 2; numpy's overflow warnings would only
+        # precede that message on stderr.
+        with np.errstate(over="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

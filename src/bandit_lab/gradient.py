@@ -12,6 +12,13 @@ The inner loop never re-multiplies perturbed thetas against the feature
 tensor: perturbing theta by +/- h along coordinate j shifts each arm score
 by +/- h * (z + eps)[j], so one base score tensor plus per-coordinate
 increments covers all 2d evaluations.
+
+Feature sets are processed in blocks of at most _BLOCK_SCORE_ENTRIES score
+entries, which bound the resident memory, and the gradient is divided by
+2hs once per chunk of at most _CHUNK_SCORE_ENTRIES entries, which fixes the
+rounding of the result. Each block's picked-value gaps are summed into a
+running total, so no chunk-sized buffer is held (except for d == 1, whose
+single column numpy sums pairwise over the whole chunk).
 """
 
 from dataclasses import dataclass
@@ -27,11 +34,14 @@ __all__ = [
     "regret_gradient",
 ]
 
-# Cap on resident (samples x noise draws x arms) score entries per chunk.
+# Score entries (sets x noise draws x arms x coordinates) per chunk. A chunk
+# is the unit whose gap sum is divided by 2hs, so this fixes the rounding of
+# the gradient, and it sizes averaged_gradient's feature-set batches. It
+# bounds no memory except for d == 1.
 _CHUNK_SCORE_ENTRIES = 4_000_000
-# Cap on score entries per block within a chunk. A block's score tensors stay
-# cache-sized (65536 entries, 512 KiB), and the passes over them run faster
-# than over chunk-sized ones.
+# Score entries per block within a chunk. Only one block's tensors are
+# resident at a time; they stay cache-sized (65536 entries, 512 KiB), and the
+# passes over them run faster than over chunk-sized ones.
 _BLOCK_SCORE_ENTRIES = 1 << 16
 
 
@@ -146,19 +156,23 @@ def averaged_gradient(theta, theta_star, noise_cov, feature_sampler, cfg: Gradie
 def _perturbed_argmax(base, shifts, op):
     """First index over arms of the max of op(base, shifts), for every coordinate.
 
-    base is (b, s, K) and shifts is (b, s, K, d); returns the (b, s, d) argmax
-    over K of op(base[..., None], shifts). A running maximum over the K arm
-    slices gives the same picks as np.argmax on the (b, s, d, K) scores,
+    base is (K, m, s) and shifts is (K, d, m, s); returns the (d, m, s)
+    argmax over K of op(base[k], shifts[k]). A running maximum over the arm
+    slabs gives the same picks as np.argmax on the (d, m, s, K) scores,
     first maximum on ties, for finite scores, without building that tensor.
+    The arm index only grows, so max(idx, k * better) records a strictly
+    better arm exactly where a masked copy of k would.
     """
-    best = op(base[:, :, 0, None], shifts[:, :, 0, :])
-    idx = np.zeros(best.shape, dtype=np.intp)
+    k_arms = base.shape[0]
+    best = op(base[0], shifts[0])
     cand = np.empty_like(best)
-    better = np.empty(best.shape, dtype=bool)
-    for k in range(1, base.shape[2]):
-        op(base[:, :, k, None], shifts[:, :, k, :], out=cand)
-        np.greater(cand, best, out=better)
-        np.copyto(idx, k, where=better)
+    idx = np.zeros(best.shape, dtype=np.min_scalar_type(k_arms - 1))
+    step = np.empty_like(idx)
+    for k in range(1, k_arms):
+        op(base[k], shifts[k], out=cand)
+        np.greater(cand, best, out=step)
+        step *= k
+        np.maximum(idx, step, out=idx)
         np.maximum(best, cand, out=best)
     return idx
 
@@ -178,37 +192,46 @@ def _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng):
 
     draw = _noise_sampler(noise_cov)
     s = cfg.mc_noise_samples
-    # Chunk over feature sets so the perturbed score tensors stay within the
-    # entry budget (a handful of (chunk, s, K, d)-sized arrays live at once).
     per_set_entries = s * k_arms * d
     chunk = max(1, _CHUNK_SCORE_ENTRIES // max(1, per_set_entries))
     block = max(1, _BLOCK_SCORE_ENTRIES // max(1, per_set_entries))
     values_all = zs @ theta_star  # (n, K)
+    # Per (set, draw) row and coordinate: value of the arm picked after the
+    # -h perturbation minus that after the +h one. The best-arm value cancels
+    # in the central difference; only the picked-arm values matter, and
+    # under CRN most picks coincide. Row 0 carries the chunk's running sum.
+    # For d >= 2 numpy sums the rows of a (rows, d) array one after another,
+    # so carrying the sum block by block gives the chunk-wide sum bit for
+    # bit. A single column is summed pairwise instead, so for d == 1 the
+    # buffer holds the whole chunk and is summed once.
+    held = min(n, block if d > 1 else chunk)
+    gaps = np.empty((1 + held * s, d))
     for start in range(0, n, chunk):
-        zc = zs[start : start + chunk]
-        vals = values_all[start : start + chunk]
-        b = zc.shape[0]
-        # Per (set, draw, coordinate): value of the arm picked after the
-        # -h perturbation minus that after the +h one. The best-arm value
-        # cancels in the central difference; only the picked-arm values
-        # matter, and under CRN most picks coincide. The noise is drawn
-        # block by block in stream order, so the draws do not depend on
-        # the block size; the chunk's sum is taken once, as one array.
-        picked_gap = np.empty((b, s, d))
-        for lo in range(0, b, block):
-            hi = min(b, lo + block)
-            noisy = draw(rng, (hi - lo, s, k_arms, d))
-            noisy += zc[lo:hi, None, :, :]
-            base = noisy @ theta  # (block, s, K)
+        stop = min(n, start + chunk)
+        lead, row = 1, 1  # the chunk's first rows start the sum; row 0 is not yet a carry
+        for lo in range(start, stop, block):
+            hi = min(stop, lo + block)
+            m = hi - lo
+            # The noise is drawn block by block in stream order, so the draws
+            # do not depend on the block size.
+            noisy = draw(rng, (m, s, k_arms, d))
+            noisy += zs[lo:hi, None, :, :]
+            base = np.ascontiguousarray((noisy @ theta).transpose(2, 0, 1))  # (K, m, s)
             # Perturbing theta by +-h along coordinate j shifts arm scores
             # by +-h * noisy[..., j], so one base score tensor covers all
             # 2d perturbations.
-            noisy *= h
-            rows = np.arange(hi - lo)[:, None, None]
-            up_idx = _perturbed_argmax(base, noisy, np.add)  # (block, s, d)
-            dn_idx = _perturbed_argmax(base, noisy, np.subtract)
-            np.subtract(vals[lo:hi][rows, dn_idx], vals[lo:hi][rows, up_idx], out=picked_gap[lo:hi])
-        total += picked_gap.sum(axis=(0, 1)) / (2.0 * h * s)
+            shifts = np.empty((k_arms, d, m, s))
+            np.multiply(noisy.transpose(2, 3, 0, 1), h, out=shifts)
+            del noisy
+            offsets = (k_arms * np.arange(lo, hi))[:, None]  # flat row starts in values_all
+            up = values_all.take(_perturbed_argmax(base, shifts, np.add) + offsets)  # (d, m, s)
+            down = values_all.take(_perturbed_argmax(base, shifts, np.subtract) + offsets)
+            np.subtract(down, up, out=gaps[row : row + m * s].reshape(m, s, d).transpose(2, 0, 1))
+            row += m * s
+            if d > 1 or hi == stop:
+                gaps[0] = gaps[lead:row].sum(axis=0)
+                lead, row = 0, 1
+        total += gaps[0] / (2.0 * h * s)
     return total, n
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -105,7 +106,9 @@ class TestRunCommand:
         doc = json.loads(cfg.read_text())
         doc["environment"]["feature_distribution"]["family"]["mean"] = 1e300
         cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "policy 'noisy_linrel' stopped at round 2 of seed 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -145,7 +148,9 @@ class TestRunCommand:
         doc["environment"]["feature_distribution"]["family"]["mean"] = 1e300
         doc["environment"]["noise"]["mode"] = "identical"
         cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "policy 'linucb' stopped at round 1 of seed 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

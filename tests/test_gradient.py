@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bandit_lab import gradient as gradient_module
 from bandit_lab.env import (
     FeatureDistribution,
     GaussianFamily,
@@ -159,6 +161,80 @@ class TestRegretGradient:
         expected = (values[rows, down] - values[rows, up]).sum(axis=(0, 1)) / (2.0 * h * s) / n
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("integer_scores", [False, True])
+    @pytest.mark.parametrize("k_arms", [2, 5, 130])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_blocks_and_chunks_match_dense_argmax_reference(self, monkeypatch, d, k_arms, integer_scores):
+        # Budgets of 2 sets per block and 5 per chunk split 9 sets into
+        # chunks of 5 and 4, each of several blocks. The gradient divides by
+        # 2hs once per chunk, so the reference sums each chunk's picked-value
+        # gaps in one array, as np.sum over (sets, draws) does. A step larger
+        # than theta makes most +h and -h picks differ, so few gaps are zero
+        # and the order of the sum shows.
+        n, s = 9, 40
+        per_set = s * k_arms * d
+        monkeypatch.setattr(gradient_module, "_BLOCK_SCORE_ENTRIES", 2 * per_set)
+        monkeypatch.setattr(gradient_module, "_CHUNK_SCORE_ENTRIES", 5 * per_set)
+        data_rng = np.random.default_rng(100 * d + k_arms)
+        if integer_scores:
+            zs = data_rng.integers(-2, 3, (n, k_arms, d)).astype(float)
+            theta = data_rng.integers(-2, 3, d).astype(float)
+            noise_diag = np.full(d, 1e-300)
+        else:
+            zs = data_rng.standard_normal((n, k_arms, d)) * 3.0
+            theta = data_rng.standard_normal(d)
+            noise_diag = data_rng.uniform(0.1, 1.0, d)
+        theta_star = data_rng.standard_normal(d)
+        cfg = GradientConfig(mc_noise_samples=s, fd_step=2.0)
+        got = regret_gradient(theta, zs, theta_star, np.diag(noise_diag), cfg, keyed_rng(17))
+
+        rng = keyed_rng(17)
+        norm = np.linalg.norm(theta)
+        h = cfg.fd_step * (norm if norm > 0 else 1.0)
+        noisy = zs[:, None, :, :] + rng.standard_normal((n, s, k_arms, d)) * np.sqrt(noise_diag)
+        base = noisy @ theta
+        shifts = h * noisy.transpose(0, 1, 3, 2)  # (n, s, d, K)
+        up = np.argmax(base[:, :, None, :] + shifts, axis=3)
+        down = np.argmax(base[:, :, None, :] - shifts, axis=3)
+        values = zs @ theta_star
+        rows = np.arange(n)[:, None, None]
+        gaps = values[rows, down] - values[rows, up]  # (n, s, d)
+        expected = np.zeros(d)
+        for start in (0, 5):
+            expected += gaps[start : start + 5].sum(axis=(0, 1)) / (2.0 * h * s)
+        assert np.array_equal(got, expected / n)
+
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_carried_row_sum_matches_one_sum(self, d):
+        # The kernel sums a chunk block by block, carrying the running sum
+        # as the first row of the next block's rows. For d >= 2 numpy adds
+        # the rows of a (rows, d) array in order, so the carried sum must
+        # equal the sum over the whole chunk bit for bit.
+        rng = np.random.default_rng(d)
+        rows = rng.standard_normal((4001, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (4001, d))
+        carried = rows[:7].sum(axis=0)
+        for lo in range(7, len(rows), 500):
+            carried = np.vstack([carried, rows[lo : lo + 500]]).sum(axis=0)
+        assert np.array_equal(carried, rows.sum(axis=0))
+
+    def test_memory_stays_within_a_block(self):
+        # One gradient-table chunk: 160 sets x 500 draws x K=5 x d=10. A
+        # chunk-wide (160, 500, 10) buffer of picked-value gaps alone would
+        # be 6.4 MB.
+        data_rng = np.random.default_rng(18)
+        d = 10
+        zs = data_rng.standard_normal((160, 5, d))
+        theta = data_rng.standard_normal(d)
+        theta_star = data_rng.standard_normal(d)
+        noise_cov = np.diag(0.1 * np.arange(1, d + 1))
+        cfg = GradientConfig(mc_noise_samples=500)
+        tracemalloc.start()
+        try:
+            regret_gradient(theta, zs, theta_star, noise_cov, cfg, keyed_rng(19))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestAveragedGradient:
