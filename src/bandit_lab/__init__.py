@@ -6,7 +6,6 @@ from .env import (
     NoiseModel,
     RoundContext,
     instantaneous_regret,
-    relative_regret,
     reward,
     sample_round,
 )

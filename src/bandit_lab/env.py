@@ -31,7 +31,6 @@ __all__ = [
     "instantaneous_regret",
     "keyed_rng",
     "oracle_arm",
-    "relative_regret",
     "reward",
     "reward_noise",
     "sample_round",
@@ -495,16 +494,3 @@ def bar_theta_arm(round_ctx: RoundContext, theta_bar) -> int:
 def instantaneous_regret(round_ctx: RoundContext, arm: int, theta_star) -> float:
     values = round_ctx.z @ np.asarray(theta_star, dtype=float)
     return float(values.max() - values[arm])
-
-
-def relative_regret(round_ctx: RoundContext, arm: int, theta_bar, theta_star) -> float:
-    """Regret in rewards against the fixed linear hypothesis theta_bar.
-
-    Returns z_a . theta_star - z_arm . theta_star, where a is the arm theta_bar
-    picks from the observed features (bar_theta_arm). The value is signed: it
-    is negative in a round where the played arm beats theta_bar's pick, and
-    it never exceeds the instantaneous regret. Summed over a run it equals
-    the run's cumulative regret minus that of always playing theta_bar's pick.
-    """
-    values = round_ctx.z @ np.asarray(theta_star, dtype=float)
-    return float(values[bar_theta_arm(round_ctx, theta_bar)] - values[arm])

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +49,14 @@ CHART_METRICS = ("cum_regret", "rel_regret", "cos_dist")
 # The random streams are keyed by the seed's 64 bits, so larger or negative
 # seeds would replay the stream of another seed.
 MAX_SEED = 2**64 - 1
-# The most rounds whose (rounds, 6) float64 block of held rows numpy can
-# index; see _records_in_output_order.
-MAX_ROUNDS = np.iinfo(np.intp).max // (6 * np.dtype(np.float64).itemsize)
+# The random streams key a round t by the 61 bits above its 3 lane bits, so
+# a later round would replay the draws of an earlier one.
+MAX_ROUNDS = 2**61 - 1
+# Bytes a run holds per result row: its RunRecord and its share of emitting
+# it. Measured with `bandit-lab run --charts` on 5 cheap policies x 10 seeds
+# x 10^4 rounds (K=5, d=10, CPython 3.11, x86-64): peak RSS 198.4 MiB against
+# 38.9 MiB for a one-row run, so (198.4 - 38.9) MiB / (5 * 10^5 rows).
+RECORD_BYTES = 334
 
 
 class ConfigError(ValueError):
@@ -470,51 +476,31 @@ def _records_in_output_order(specs, seeds, rounds: int, steps):
     """RunRecords in (policy, seed, t) order from runs that step each seed's policies together.
 
     ``steps(seed)`` yields (i, t, arm, reward, inst_regret, rel_regret,
-    cos_dist) for policy i in round t = 1..rounds. The first policy's records
-    are yielded as they are made. Each later policy's rows are held in one
-    (rounds, 6) float block per seed, NaN standing for None, and become
-    records after the last seed.
+    cos_dist) for policy i in round t = 1..rounds. Each row becomes a
+    RunRecord when it is made: the first policy's are yielded at once, each
+    later policy's are held in its list until the last seed is done. Before
+    round 1, a run whose records could not fit in physical memory is a
+    ConfigError.
     """
-    held = []  # per seed, one block per later policy
+    rows = rounds * len(seeds) * len(specs)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if rows * RECORD_BYTES > memory:
+        raise ConfigError(
+            f"'T' = {rounds} rounds x {len(seeds)} seeds x {len(specs)} policies make {rows} result rows, "
+            f"about {rows * RECORD_BYTES} bytes held, more than the {memory} bytes of physical memory"
+        )
+    held = [[] for _ in specs[1:]]
     for seed in seeds:
         cum = [0.0] * len(specs)
-        try:
-            blocks = [np.empty((rounds, 6)) for _ in specs[1:]]
-        except (ValueError, MemoryError) as exc:  # the rows of T rounds cannot be held
-            raise ConfigError(f"'T' = {rounds} rounds are too many to hold in memory: {exc}") from exc
         for i, t, arm, y, inst, rel, cos in steps(seed):
             cum[i] += inst
+            record = RunRecord(t, specs[i].label, seed, arm, y, inst, cum[i], rel, cos)
             if i == 0:
-                yield RunRecord(
-                    t=t,
-                    policy=specs[0].label,
-                    seed=seed,
-                    arm=arm,
-                    reward=y,
-                    inst_regret=inst,
-                    cum_regret=cum[0],
-                    rel_regret=rel,
-                    cos_dist=cos,
-                )
+                yield record
             else:
-                blocks[i - 1][t - 1] = (arm, y, inst, cum[i], math.nan if rel is None else rel, math.nan if cos is None else cos)
-        held.append(blocks)
-    for i, spec in enumerate(specs[1:]):
-        for seed, blocks in zip(seeds, held):
-            block, blocks[i] = blocks[i], None  # free each block once it is written out
-            for t, row in enumerate(block, start=1):
-                arm, y, inst, cum_regret, rel, cos = row.tolist()
-                yield RunRecord(
-                    t=t,
-                    policy=spec.label,
-                    seed=seed,
-                    arm=int(arm),
-                    reward=y,
-                    inst_regret=inst,
-                    cum_regret=cum_regret,
-                    rel_regret=None if math.isnan(rel) else rel,
-                    cos_dist=None if math.isnan(cos) else cos,
-                )
+                held[i - 1].append(record)
+    for records in held:
+        yield from records
 
 
 def run_simulation(cfg: RunConfig):

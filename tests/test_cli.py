@@ -140,6 +140,22 @@ class TestRunCommand:
         assert "'T' must be at most" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("policies", [["uniform"], ["uniform", "linucb"]], ids=["one-policy", "two-policies"])
+    def test_horizon_beyond_physical_memory_exits_config(self, tmp_path, policies):
+        # 10**15 rounds are below MAX_ROUNDS, but no machine holds their rows,
+        # so the run must stop before round 1; like the test above it goes in
+        # a subprocess with a deadline.
+        cfg = write_config(tmp_path / "cfg.json", policies=policies)
+        doc = json.loads(cfg.read_text())
+        doc["environment"]["T"] = 10**15
+        cfg.write_text(json.dumps(doc))
+        cmd = [sys.executable, "-m", "bandit_lab.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert "'T'" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_linucb_with_overflowing_sums_exits_config(self, tmp_path, capsys):
         # Features near 1e300 overflow LinUCB's A = I + sum x x^T in round 1,
         # and solve(A, b) then returns NaN without raising.

@@ -6,8 +6,10 @@ always present and at most 4, since their defaults are the full release
 table) are generated, and then one value at any depth is mutated. It is
 replaced by a bool, null, a number as a string, a list, an object, 0, -1 or
 +-1e300, or its key is deleted, or an unknown key is added beside it. The
-CLI runs in-process on the result. It must return 0, 2, 3 or 4 without an
-exception escaping, and every number in the CSV it writes must be finite.
+CLI runs in-process on the result: `run`, `diagnose` and `replay` (on a
+fixed 6-round log with K=3, d=3) on a run config, `gradtable` on a table
+config. It must return 0, 2, 3 or 4 without an exception escaping, and
+every number in the CSV it writes must be finite.
 
 Sizes (K, d, T, seeds, mc_samples, feature_samples, mc_noise_samples) take
 no value above 10. A huge size asks for unbounded work, which is not a type
@@ -22,14 +24,19 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bandit_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, TABLE_DISTRIBUTIONS, main
+from bandit_lab.runner import ReplayDataset, write_replay_csv
 
 SIZES = {"K", "d", "T", "seeds", "mc_samples", "feature_samples", "mc_noise_samples"}
 KEPT_TABLE_KEYS = {"feature_samples", "mc_noise_samples"}  # deleted, they default to the full table
 REPLACEMENTS = [True, False, None, "1", [], [1], {}, {"a": 1}, 0, -1, 1e300, -1e300]
+REPLAY_LOG = ReplayDataset(
+    contexts=np.random.default_rng(0).standard_normal((6, 3, 3)), rewards=np.random.default_rng(1).uniform(size=(6, 3))
+)
 
 FUZZ_SETTINGS = settings(
     derandomize=True,
@@ -182,25 +189,41 @@ def assert_finite_csv(path, text_columns):
                 assert math.isfinite(float(field)), (path.name, row)
 
 
-def run_cli(command, doc, out_name):
+def run_cli(command, doc, out_name, text_columns, replay_log=None):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         out = Path(tmp) / out_name
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if replay_log is not None:
+            write_replay_csv(Path(tmp) / "log.csv", replay_log)
+            argv += ["--data", str(Path(tmp) / "log.csv")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--config", str(cfg), "--out", str(out)])
+            code = main(argv)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_IO)
         if code == EXIT_OK:
-            assert_finite_csv(out / "results.csv" if command == "run" else out, {1} if command == "run" else {0})
+            assert_finite_csv(out / "results.csv" if out.is_dir() else out, text_columns)
 
 
 @FUZZ_SETTINGS
 @given(mutated(run_configs()))
 def test_mutated_run_config_runs_or_exits_with_a_code(doc):
-    run_cli("run", doc, "out")
+    run_cli("run", doc, "out", {1})
+
+
+@FUZZ_SETTINGS
+@given(mutated(run_configs()))
+def test_mutated_diagnose_config_runs_or_exits_with_a_code(doc):
+    run_cli("diagnose", doc, "diagnostics.csv", {1})
+
+
+@FUZZ_SETTINGS
+@given(mutated(run_configs()))
+def test_mutated_replay_config_runs_or_exits_with_a_code(doc):
+    run_cli("replay", doc, "out", {1}, replay_log=REPLAY_LOG)
 
 
 @FUZZ_SETTINGS
 @given(mutated(table_configs(), kept=KEPT_TABLE_KEYS))
 def test_mutated_table_config_runs_or_exits_with_a_code(doc):
-    run_cli("gradtable", doc, "table.csv")
+    run_cli("gradtable", doc, "table.csv", {0})

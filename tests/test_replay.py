@@ -3,6 +3,7 @@ import pytest
 
 from bandit_lab.policies import Policy
 from bandit_lab.runner import (
+    ConfigError,
     DataFormatError,
     PolicySpec,
     ReplayDataset,
@@ -132,6 +133,13 @@ class TestRunReplay:
         specs = [PolicySpec(name="uniform"), PolicySpec(name="linucb")]
         for rec in run_replay(dataset, specs, seeds=[0, 1]):
             assert rec.inst_regret == 0.0
+
+    def test_rows_beyond_physical_memory_rejected_before_round_one(self):
+        # Three logged rounds, but no machine holds their rows for 10**15 seeds;
+        # the first record would come out of round 1.
+        records = run_replay(hand_dataset(), [PolicySpec(name="uniform")], seeds=range(10**15))
+        with pytest.raises(ConfigError, match="'T'"):
+            next(records)
 
     def test_replay_metrics_absent(self):
         records = list(run_replay(hand_dataset(), [PolicySpec(name="uniform")], seeds=[0]))
