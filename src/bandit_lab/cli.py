@@ -127,9 +127,10 @@ def _cmd_gradtable(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     cfg = load_run_config(args.config)
+    records = list(run_diagnostics(cfg))  # a run that fails writes nothing
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(out, run_diagnostics(cfg))
+    write_diagnostics_csv(out, records)
     print(out)
     return EXIT_OK
 

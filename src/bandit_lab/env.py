@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import gaussian_sampler, sym_matrix
+
 __all__ = [
     "EnvironmentConfig",
     "ExponentialFamily",
@@ -243,13 +245,6 @@ class MixtureFamily:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises ValueError unless cov is finite and positive-definite."""
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("covariance entries must be finite")
-    return np.linalg.cholesky(cov)
-
-
 @dataclass(frozen=True)
 class FeatureDistribution:
     """Hidden-feature law: full multivariate Gaussian or i.i.d. coordinates."""
@@ -260,16 +255,14 @@ class FeatureDistribution:
 
     def __post_init__(self):
         if self.kind == "multivariate_gaussian":
-            # Factored once, as in NoiseModel; the factor doubles as the
+            # Factored once, as in NoiseModel; the sampler doubles as the
             # positive-definite check.
-            object.__setattr__(self, "_chol", _cholesky(self.covariance))
+            object.__setattr__(self, "covariance", sym_matrix(self.covariance))
+            object.__setattr__(self, "_draw", gaussian_sampler(self.covariance))
 
     @classmethod
     def multivariate_gaussian(cls, covariance) -> "FeatureDistribution":
-        cov = np.array(covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be square")
-        return cls(kind="multivariate_gaussian", covariance=(cov + cov.T) / 2.0)
+        return cls(kind="multivariate_gaussian", covariance=covariance)
 
     @classmethod
     def iid(cls, family) -> "FeatureDistribution":
@@ -282,7 +275,7 @@ class FeatureDistribution:
         if self.kind == "multivariate_gaussian":
             if self.covariance.shape[0] != d:
                 raise ValueError("covariance dimension does not match d")
-            return rng.standard_normal((n, d)) @ self._chol.T
+            return self._draw(rng, (n, d))
         return self.family.sample(rng, (n, d))
 
     def covariance_matrix(self, d: int) -> np.ndarray:
@@ -339,14 +332,11 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in ("identical", "per_arm"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be square")
-        cov = (cov + cov.T) / 2.0
-        # The factor doubles as the positive-definite check. It and the
+        cov = sym_matrix(self.covariance)
+        # The sampler doubles as the positive-definite check. It and the
         # radius are fixed by the frozen fields, so sample() reuses them
         # rather than factoring the covariance every round.
-        object.__setattr__(self, "_chol", _cholesky(cov))
+        object.__setattr__(self, "_draw", gaussian_sampler(cov))
         object.__setattr__(self, "covariance", cov)
         if self.truncation_radius is not None and not self.truncation_radius > 0:
             raise ValueError("truncation_radius must be positive")
@@ -370,12 +360,12 @@ class NoiseModel:
         return self._radius
 
     def sample(self, rng, n: int) -> np.ndarray:
-        chol = self._chol
-        out = rng.standard_normal((n, self.dim)) @ chol.T
+        draw = self._draw
+        out = draw(rng, (n, self.dim))
         radius = self._radius
         bad = np.linalg.norm(out, axis=1) > radius
         while np.any(bad):
-            out[bad] = rng.standard_normal((int(bad.sum()), self.dim)) @ chol.T
+            out[bad] = draw(rng, (int(bad.sum()), self.dim))
             bad = np.linalg.norm(out, axis=1) > radius
         return out
 

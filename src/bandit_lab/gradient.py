@@ -25,6 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import env as envmod
+from .linalg import gaussian_sampler
+
 __all__ = [
     "GradientConfig",
     "arm_set_sampler",
@@ -65,29 +68,6 @@ class GradientConfig:
             raise ValueError("fd_step must be positive")
 
 
-def _noise_sampler(noise_cov):
-    """Return draw(rng, shape) producing N(0, noise_cov) rows along the last axis.
-
-    Diagonal covariances use an elementwise scale, which is bitwise identical
-    to the Cholesky route but skips a dense matmul over the noise tensor.
-    """
-    cov = np.asarray(noise_cov, dtype=float)
-    cov = (cov + cov.T) / 2.0
-    if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
-        scale = np.sqrt(np.diagonal(cov))
-        if np.any(scale <= 0):
-            raise ValueError("noise covariance must be positive-definite")
-
-        def draw(rng, shape):
-            eps = rng.standard_normal(shape)
-            eps *= scale
-            return eps
-
-        return draw
-    chol = np.linalg.cholesky(cov)
-    return lambda rng, shape: rng.standard_normal(shape) @ chol.T
-
-
 def _as_feature_sets(z) -> np.ndarray:
     zs = np.asarray(z, dtype=float)
     if zs.ndim == 2:
@@ -112,7 +92,7 @@ def per_round_expected_regret(theta, z, theta_star, noise_cov, cfg: GradientConf
         return 0.0
     values = zs @ np.asarray(theta_star, dtype=float)
     best = float(values.max())
-    draw = _noise_sampler(noise_cov)
+    draw = gaussian_sampler(noise_cov)
     s = cfg.mc_noise_samples
     eps = draw(rng, (s, k_arms, d))
     picked = np.argmax((zs[None, :, :] + eps) @ theta, axis=1)
@@ -190,7 +170,7 @@ def _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng):
     if k_arms == 1:
         return total, n
 
-    draw = _noise_sampler(noise_cov)
+    draw = gaussian_sampler(noise_cov)
     s = cfg.mc_noise_samples
     per_set_entries = s * k_arms * d
     chunk = max(1, _CHUNK_SCORE_ENTRIES // max(1, per_set_entries))
@@ -266,14 +246,13 @@ def gradient_norm_table(
     from that distribution's analytic covariance. Returns a list of
     (label, l2_norm) pairs.
     """
-    from .env import LANE_THETA, keyed_rng
     from .policies import bayes_optimal_theta
 
     noise_cov = np.asarray(noise_cov, dtype=float)
     d = noise_cov.shape[0]
-    theta_star = keyed_rng(theta_star_seed, 0, LANE_THETA).uniform(-1.0, 1.0, size=d)
+    theta_star = envmod.draw_theta_star(d, envmod.keyed_rng(theta_star_seed, 0, envmod.LANE_THETA), max_norm=None)
     if rng is None:
-        rng = keyed_rng(theta_star_seed, 1, LANE_THETA)
+        rng = envmod.keyed_rng(theta_star_seed, 1, envmod.LANE_THETA)
     rows = []
     for label, dist in distributions:
         feature_cov = dist.covariance_matrix(d)

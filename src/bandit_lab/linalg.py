@@ -15,6 +15,7 @@ __all__ = [
     "SymEigen",
     "cutoff_pinv_solve",
     "eigendecompose",
+    "gaussian_sampler",
     "rank_threshold",
     "spectral_norm",
     "sym_matrix",
@@ -37,6 +38,34 @@ def sym_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return (a + a.T) / 2.0
+
+
+def gaussian_sampler(cov):
+    """Return draw(rng, shape) producing N(0, cov) rows along the last axis.
+
+    cov is validated and symmetrized by sym_matrix; np.linalg.LinAlgError
+    (a ValueError) is raised unless it is positive-definite. Diagonal
+    covariances use an elementwise scale, which is bitwise identical to the
+    Cholesky route but skips a dense matmul over the draw.
+    """
+    c = sym_matrix(cov)
+    variances = np.diagonal(c)
+    if np.count_nonzero(c - np.diag(variances)) == 0:
+        if not np.all(variances > 0):
+            raise np.linalg.LinAlgError("covariance must be positive-definite")
+        scale = np.sqrt(variances)
+
+        def draw(rng, shape):
+            eps = rng.standard_normal(shape)
+            eps *= scale
+            return eps
+
+        return draw
+    try:
+        chol_t = np.linalg.cholesky(c).T
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("covariance must be positive-definite") from None
+    return lambda rng, shape: rng.standard_normal(shape) @ chol_t
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .gradient import GradientConfig, regret_gradient
 from .linalg import (
     cutoff_pinv_solve,
     eigendecompose,
+    gaussian_sampler,
     rank_threshold,
     truncated_pinv_apply,
 )
@@ -351,10 +352,7 @@ class RegretGradientLinRel(Policy):
             raise ValueError("mc_samples must be at least 1")
         self.estimator = NoisyLinRel(d, alpha_exponent)
         self.noise_cov = np.asarray(noise_cov, dtype=float)
-        try:  # regret_gradient draws N(0, noise_cov): fail before any round runs
-            np.linalg.cholesky((self.noise_cov + self.noise_cov.T) / 2.0)
-        except np.linalg.LinAlgError:
-            raise ValueError("noise covariance must be positive-definite") from None
+        gaussian_sampler(self.noise_cov)  # regret_gradient draws N(0, noise_cov): fail before any round runs
         self.feature_sampler = feature_sampler
         self.step_size = step_size
         self.ucb_coeff = ucb_coeff

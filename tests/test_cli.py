@@ -220,6 +220,10 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", metrics="cum_regret")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "'metrics' must be a list" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "cfg.json", metrics=["diagnostics"])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "unknown metric 'diagnostics'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_step_size_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "gradient_linrel", "params": {"step_size": -1}}])
@@ -459,6 +463,27 @@ class TestDiagnoseCommand:
     def test_per_arm_noise_exits_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "uniform"}])
         assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+
+    def test_failing_run_writes_no_file(self, tmp_path, capsys):
+        # noisy_linrel's running sums overflow in round 2; the checkpoint of round 1 must not be written
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            environment={
+                "K": 3,
+                "d": 2,
+                "T": 30,
+                "theta_star": [0.5, -0.4],
+                "feature_distribution": {"kind": "iid", "family": {"name": "gaussian", "mean": 1e300}},
+                "noise": {"mode": "identical", "covariance": {"diag": [0.2, 0.3]}},
+                "reward_noise_sigma": 0.1,
+            },
+            policies=[{"name": "noisy_linrel"}],
+            seeds=[0],
+        )
+        out = tmp_path / "d.csv"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "stopped at round" in capsys.readouterr().err
+        assert not out.exists()
 
 
 MVN = "multivariate_gaussian"

@@ -94,6 +94,14 @@ class TestRegretGradient:
         grad = regret_gradient(np.ones(4), z, np.zeros(4), np.eye(4), cfg, rng)
         assert np.array_equal(grad, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_noise_covariance_rejected(self, bad):
+        cfg = GradientConfig(mc_noise_samples=64)
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((3, 2))
+        with pytest.raises(ValueError, match="finite"):
+            regret_gradient(np.ones(2), z, np.array([0.6, -0.8]), np.diag([bad, 1.0]), cfg, rng)
+
     def test_single_arm_gives_zero_gradient(self):
         cfg = GradientConfig(mc_noise_samples=128)
         rng = np.random.default_rng(7)

@@ -1,14 +1,18 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandit_lab
 from bandit_lab.linalg import (
     DegenerateSpectrumError,
     cutoff_pinv_solve,
     eigendecompose,
+    gaussian_sampler,
     rank_threshold,
     spectral_norm,
     sym_matrix,
@@ -165,3 +169,54 @@ def test_sym_matrix_symmetrizes():
     out = sym_matrix([[1.0, 2.0], [0.0, 1.0]])
     assert np.array_equal(out, out.T)
     assert out[0, 1] == pytest.approx(1.0)
+
+
+class TestGaussianSampler:
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 3), (4, 5, 3), (2, 6, 5, 3)])
+    def test_diagonal_draw_equals_cholesky_route(self, shape):
+        cov = np.diag([0.1, 2.5, 0.7])
+        draw = gaussian_sampler(cov)
+        expected = np.random.default_rng(9).standard_normal(shape) @ np.linalg.cholesky(cov).T
+        assert np.array_equal(draw(np.random.default_rng(9), shape), expected)
+
+    @pytest.mark.parametrize(
+        "asymmetric, symmetric",
+        [
+            ([[2.0, 1.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]),
+            ([[2.0, 1.0], [-1.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]),  # diagonal once symmetrized
+        ],
+    )
+    def test_asymmetric_input_is_symmetrized(self, asymmetric, symmetric):
+        draws = gaussian_sampler(asymmetric)(np.random.default_rng(2), (5, 2))
+        assert np.array_equal(draws, gaussian_sampler(symmetric)(np.random.default_rng(2), (5, 2)))
+
+    @pytest.mark.parametrize(
+        "cov",
+        [np.ones((2, 3)), np.ones(3), np.zeros((0, 0)), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0]), [[1.0, np.inf], [0.0, 1.0]]],
+    )
+    def test_rejects_malformed_or_non_finite(self, cov):
+        with pytest.raises(ValueError, match="square|finite"):
+            gaussian_sampler(cov)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [[[1.0, 2.0], [2.0, 1.0]], np.diag([0.0, 1.0]), np.diag([-1.0, 1.0]), [[1.0, 1.0], [1.0, 1.0]]],
+    )
+    def test_not_positive_definite_raises_linalg_error(self, cov):
+        with pytest.raises(np.linalg.LinAlgError, match="positive-definite"):
+            gaussian_sampler(cov)
+
+
+def test_covariance_handling_lives_only_in_linalg():
+    # Factoring and symmetrizing a covariance is linalg's job; a second copy
+    # elsewhere in the package is how the validation rules drifted apart.
+    package = Path(bandit_lab.__file__).parent
+    pattern = re.compile(r"np\.linalg\.cholesky\(|\.T\)\s*/\s*2")
+    copies = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert copies == []

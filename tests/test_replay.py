@@ -1,6 +1,10 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+from bandit_lab.cli import EXIT_CONFIG, main
 from bandit_lab.policies import Policy
 from bandit_lab.runner import (
     ConfigError,
@@ -176,3 +180,31 @@ class TestRunReplay:
         spec = PolicySpec(name="gradient_linrel", params={"mc_samples": 20})
         records = list(run_replay(hand_dataset(), [spec], seeds=[0]))
         assert len(records) == 3
+
+    def test_gradient_policy_with_overflowing_noise_covariance_exits_when_built(self, tmp_path, capsys):
+        # context_1's variance, and so its 0.1 share in the noise covariance, overflows to inf
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "round,arm_index,context_0,context_1,reward\n"
+            "0,0,1.0,1e200,1.0\n0,1,0.0,-1e200,0.2\n"
+            "1,0,0.5,2e200,0.3\n1,1,1.0,-2e200,0.8\n"
+            "2,0,0.2,1e200,0.5\n2,1,0.3,-1e200,0.1\n"
+        )
+        cfg = tmp_path / "cfg.json"
+        environment = {
+            "K": 2,
+            "d": 2,
+            "T": 3,
+            "theta_star": [0.5, -0.4],
+            "feature_distribution": {"kind": "iid", "family": {"name": "gaussian"}},
+            "reward_noise_sigma": 0.1,
+        }
+        policies = [{"name": "gradient_linrel", "params": {"mc_samples": 20}}]
+        cfg.write_text(json.dumps({"environment": environment, "policies": policies, "seeds": [0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "gradient_linrel" in err and "finite" in err and "stopped at round" not in err
+        assert not (tmp_path / "o").exists()

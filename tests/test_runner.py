@@ -67,15 +67,17 @@ class TestConfigParsing:
             make_config(policies=("nonexistent",))
 
     def test_unknown_metric_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_run_config(
-                {
-                    "environment": base_env_spec(),
-                    "policies": [{"name": "uniform"}],
-                    "seeds": [0],
-                    "metrics": ["speed"],
-                }
-            )
+        # "diagnostics" is the diagnose command's output, not a results column
+        for metric in ("speed", "diagnostics"):
+            with pytest.raises(ConfigError, match=f"unknown metric {metric!r}"):
+                parse_run_config(
+                    {
+                        "environment": base_env_spec(),
+                        "policies": [{"name": "uniform"}],
+                        "seeds": [0],
+                        "metrics": [metric],
+                    }
+                )
 
     def test_dimension_mismatch_fails_before_rounds(self):
         with pytest.raises(ConfigError):
