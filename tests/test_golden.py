@@ -1,8 +1,11 @@
 """Golden digests: the bytes of small pinned runs must not change.
 
 Each case writes a CSV (and, for emission, the SVG charts) through the
-public runner API and compares its SHA-256 with a recorded value. Dimensions stay at d <= 3, where BLAS
-threading cannot change the floating-point results. A refactor of the
+public runner API and compares its SHA-256 with a recorded value. Most cases stay at d <= 3,
+which NLinRel's spectral cut keeps in full within a few rounds; the
+full-rank cases run d = 10 long enough to cross from a partial to a full
+kept rank. Every matrix stays small enough that BLAS threading cannot
+change the floating-point results. A refactor of the
 round loops must keep every digest; a deliberate change in output must
 state itself and re-record the affected digest.
 """
@@ -71,6 +74,23 @@ EXPECTED = {
     "simulation_per_arm": "dd19ad6ca1dac298584ff98f952bcc08fbbc8244f2676963636e1fe38daf8870",
     "replay": "c9a5b5bb8a0c2b5b6a9872b7070a31d7bdc4d76cf1f5301722ae40d9d8fa7476",
     "diagnostics": "0ee9a71d297b0be6d534605c92e5ea6bf76e6a7ae2cbf38b5f5089c1b74c5cdc",
+    "replay_full_rank": "b8ee9eb3a1e512407dc578996b50a0e263b873d522442ba712c2b86add615aff",
+    "diagnostics_full_rank_noisy_linrel": "6c19ce0f0c4e14978b264159c91a61afbcc32f4aac5fb49e44c33bfeaeaa88a6",
+    "diagnostics_full_rank_gradient_linrel": "adc359da54965a078326f4b022b9fcd2dd5555551363d0e5eb3b294c847910d7",
+}
+
+# d = 10, K = 5: NLinRel first keeps all ten directions between rounds 28
+# and 43, depending on seed and policy, of the 60-round replay log and the
+# 64-round diagnostics runs, so every case plays rounds on either side of
+# the switch to full rank.
+FULL_RANK_ENV = {
+    "K": 5,
+    "d": 10,
+    "T": 64,
+    "theta_star": "random",
+    "feature_distribution": {"kind": "iid", "family": {"name": "gaussian"}},
+    "noise": {"mode": "identical", "covariance": {"diag": [0.02 * (i + 1) for i in range(10)]}},
+    "reward_noise_sigma": 0.1,
 }
 
 # Nine seeds put at least 8 values into a round's mean, so the charts'
@@ -115,6 +135,13 @@ def replay_dataset() -> ReplayDataset:
     return ReplayDataset(contexts=contexts, rewards=rewards)
 
 
+def full_rank_replay_dataset() -> ReplayDataset:
+    rng = np.random.default_rng(14)
+    contexts = rng.standard_normal((60, 5, 10))
+    rewards = contexts @ np.linspace(-0.5, 0.5, 10) + 0.1 * rng.standard_normal((60, 5))
+    return ReplayDataset(contexts=contexts, rewards=rewards)
+
+
 @pytest.mark.parametrize("name, env", [("simulation_identical", IDENTICAL_ENV), ("simulation_per_arm", PER_ARM_ENV)])
 def test_simulation_results_digest(tmp_path, name, env):
     path = tmp_path / "results.csv"
@@ -143,6 +170,34 @@ def test_diagnostics_digest(tmp_path):
     path = tmp_path / "diagnostics.csv"
     write_diagnostics_csv(path, run_diagnostics(config(env, ["noisy_linrel"])))
     assert digest(path) == EXPECTED["diagnostics"]
+
+
+def test_full_rank_replay_digest(tmp_path):
+    specs = [
+        PolicySpec(name=name, params=params)
+        for name, params in [
+            ("noisy_linrel", {}),
+            ("gradient_linrel", {"mc_samples": 20}),
+            ("linucb", {}),
+            ("greedy", {"tau": 20}),
+        ]
+    ]
+    path = tmp_path / "results.csv"
+    write_records_csv(path, run_replay(full_rank_replay_dataset(), specs, seeds=[0, 3]))
+    assert digest(path) == EXPECTED["replay_full_rank"]
+
+
+@pytest.mark.parametrize(
+    "name, policy",
+    [
+        ("diagnostics_full_rank_noisy_linrel", "noisy_linrel"),
+        ("diagnostics_full_rank_gradient_linrel", {"name": "gradient_linrel", "params": {"mc_samples": 20}}),
+    ],
+)
+def test_full_rank_diagnostics_digest(tmp_path, name, policy):
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(path, run_diagnostics(config(FULL_RANK_ENV, [policy])))
+    assert digest(path) == EXPECTED[name]
 
 
 def test_emitted_outputs_digest(tmp_path):
