@@ -433,7 +433,7 @@ def sample_round(cfg: EnvironmentConfig, t: int, rng=None) -> RoundContext:
         rng = _round_stream(cfg.seed, t, LANE_CONTEXT)
     z = cfg.feature_dist.sample(rng, cfg.K, cfg.d)
     if cfg.noise.mode == "identical":
-        eps = np.tile(cfg.noise.sample(rng, 1), (cfg.K, 1))
+        eps = np.repeat(cfg.noise.sample(rng, 1), cfg.K, axis=0)
     else:
         eps = cfg.noise.sample(rng, cfg.K)
     return RoundContext(t=t, z=z, x=z + eps, eps=eps)

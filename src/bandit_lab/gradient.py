@@ -105,9 +105,10 @@ def regret_gradient(theta, z, theta_star, noise_cov, cfg: GradientConfig, rng) -
     z is one (K, d) feature set or a batch (n, K, d) of them; a batch gives
     the mean gradient over its sets, each with cfg.mc_noise_samples noise
     draws. averaged_gradient draws the sets from a sampler instead.
+    noise_cov may also be linalg.gaussian_sampler(noise_cov), built once.
     """
-    zs = _as_feature_sets(z)
-    total, count = _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng)
+    draw = noise_cov if callable(noise_cov) else gaussian_sampler(noise_cov)
+    total, count = _gradient_over_samples(theta, _as_feature_sets(z), theta_star, draw, cfg, rng)
     return total / count
 
 
@@ -119,6 +120,7 @@ def averaged_gradient(theta, theta_star, noise_cov, feature_sampler, cfg: Gradie
     """
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[0]
+    draw = gaussian_sampler(noise_cov)
     total = np.zeros(d)
     remaining = cfg.feature_samples
     batch = max(1, _CHUNK_SCORE_ENTRIES // max(1, cfg.mc_noise_samples * 2 * d))
@@ -127,7 +129,7 @@ def averaged_gradient(theta, theta_star, noise_cov, feature_sampler, cfg: Gradie
         zs = _as_feature_sets(feature_sampler(rng, n))
         if zs.shape[0] != n:
             raise ValueError("feature_sampler returned the wrong number of sets")
-        part, count = _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng)
+        part, count = _gradient_over_samples(theta, zs, theta_star, draw, cfg, rng)
         total += part
         remaining -= count
     return total / cfg.feature_samples
@@ -157,8 +159,8 @@ def _perturbed_argmax(base, shifts, op):
     return idx
 
 
-def _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng):
-    """Sum of per-feature-set central-difference gradients over zs (n, K, d)."""
+def _gradient_over_samples(theta, zs, theta_star, draw, cfg, rng):
+    """Sum of per-feature-set central-difference gradients over zs (n, K, d), noise from draw."""
     theta = np.asarray(theta, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
     n, k_arms, d = zs.shape
@@ -170,7 +172,6 @@ def _gradient_over_samples(theta, zs, theta_star, noise_cov, cfg, rng):
     if k_arms == 1:
         return total, n
 
-    draw = gaussian_sampler(noise_cov)
     s = cfg.mc_noise_samples
     per_set_entries = s * k_arms * d
     chunk = max(1, _CHUNK_SCORE_ENTRIES // max(1, per_set_entries))

@@ -89,9 +89,11 @@ def eigendecompose(a) -> SymEigen:
     """Eigendecompose a symmetric matrix with eigenvalues sorted descending.
 
     Backed by LAPACK's iterative symmetric solver via numpy; deterministic
-    for a fixed input up to the sign of each eigenvector.
+    for a fixed input up to the sign of each eigenvector. A finite, exactly
+    symmetric float64 array skips sym_matrix, whose average would not change it.
     """
-    m = sym_matrix(a)
+    square = isinstance(a, np.ndarray) and a.dtype == float and a.ndim == 2 and a.shape[0] == a.shape[1] > 0
+    m = a if square and np.isfinite(a).all() and (a == a.T).all() else sym_matrix(a)
     vals, vecs = np.linalg.eigh(m)  # ascending
     return SymEigen(
         eigenvalues=np.ascontiguousarray(vals[::-1]),

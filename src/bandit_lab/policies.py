@@ -146,7 +146,9 @@ class NoisyLinRel(Policy):
     of Z is cut at t**alpha; the coefficient estimate inverts only the
     retained directions, and pairwise widths are the feature differences'
     mass in the discarded directions. The played arm is drawn uniformly from
-    the candidate set that survives width-based elimination.
+    the candidate set that survives width-based elimination. At full rank
+    every width is 0, so the candidate set is the first argmax of the
+    scores, which is played without a draw when its score is finite.
     """
 
     name = "noisy_linrel"
@@ -171,6 +173,11 @@ class NoisyLinRel(Policy):
         eig, k, theta = self.estimate(t)
         self.theta_hat = theta
         r = x @ theta
+        # At full rank every width is 0: only the first argmax c survives, and
+        # rng.integers(1) draws nothing. An inf or NaN score takes the loop below.
+        c = int(np.argmax(r))
+        if k == self.d and math.isfinite(r[c]):
+            return c
         # Project all arms onto the discarded eigendirections once; each
         # pairwise width is then a cheap column difference.
         tail = eig.eigenvectors[:, k:].T @ x.T  # (d - k, K)
@@ -183,8 +190,9 @@ class NoisyLinRel(Policy):
         return candidates[int(rng.integers(len(candidates)))]
 
     def observe(self, t, arm, x_arm, y, noise_cov) -> None:
-        self.Z += np.outer(x_arm, x_arm) - np.asarray(noise_cov, dtype=float)
-        self.Y += y * np.asarray(x_arm, dtype=float)
+        x_arm = np.asarray(x_arm, dtype=float)
+        self.Z += x_arm[:, None] * x_arm - np.asarray(noise_cov, dtype=float)  # np.outer without its wrapper
+        self.Y += y * x_arm
 
     def current_theta(self):
         return self.theta_hat
@@ -229,8 +237,9 @@ class ExploreThenCommitGreedy(Policy):
 
     def observe(self, t, arm, x_arm, y, noise_cov) -> None:
         if t <= self.tau:
-            self.X += np.outer(x_arm, x_arm)
-            self.Y += y * np.asarray(x_arm, dtype=float)
+            x_arm = np.asarray(x_arm, dtype=float)
+            self.X += x_arm[:, None] * x_arm
+            self.Y += y * x_arm
 
     def current_theta(self):
         return self.theta_hat
@@ -260,8 +269,9 @@ class LinUCB(Policy):
         return int(np.argmax(x @ self.current_theta() + self.ucb_alpha * widths))
 
     def observe(self, t, arm, x_arm, y, noise_cov) -> None:
-        self.A += np.outer(x_arm, x_arm)
-        self.b += y * np.asarray(x_arm, dtype=float)
+        x_arm = np.asarray(x_arm, dtype=float)
+        self.A += x_arm[:, None] * x_arm
+        self.b += y * x_arm
         self._theta = None
         # solve() returns NaN for non-finite sums instead of raising
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
@@ -351,8 +361,7 @@ class RegretGradientLinRel(Policy):
         if mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
         self.estimator = NoisyLinRel(d, alpha_exponent)
-        self.noise_cov = np.asarray(noise_cov, dtype=float)
-        gaussian_sampler(self.noise_cov)  # regret_gradient draws N(0, noise_cov): fail before any round runs
+        self.noise_draw = gaussian_sampler(noise_cov)  # built once: a bad covariance fails before round 1
         self.feature_sampler = feature_sampler
         self.step_size = step_size
         self.ucb_coeff = ucb_coeff
@@ -379,7 +388,7 @@ class RegretGradientLinRel(Policy):
         if self.step_size > 0.0 and k > 0:
             self._step(x, eig, k, theta_dagger, rng, t)
         scores = x @ self.theta
-        if self.ucb_coeff > 0.0:
+        if self.ucb_coeff > 0.0 and k < self.estimator.d:  # at full rank the bonus is 0
             tail = eig.eigenvectors[:, k:].T @ x.T
             scores = scores + self.ucb_coeff * np.linalg.norm(tail, axis=0)
         return int(np.argmax(scores))
@@ -391,7 +400,7 @@ class RegretGradientLinRel(Policy):
         else:
             z, spread_sample = self.feature_sampler(rng, self.feature_sets), self.spread_sample
         spread = float(np.std(spread_sample @ theta_dagger))
-        grad = regret_gradient(theta_dagger + self.descent, z, theta_dagger, self.noise_cov, self.grad_cfg, rng)
+        grad = regret_gradient(theta_dagger + self.descent, z, theta_dagger, self.noise_draw, self.grad_cfg, rng)
         if k < self.estimator.d:
             # The estimate, standing in for the true coefficient, has not
             # learnt the discarded directions, so a gradient along them is

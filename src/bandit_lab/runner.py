@@ -20,7 +20,7 @@ import numpy as np
 from . import env as envmod
 from . import policies as polmod
 from .gradient import arm_set_sampler
-from .linalg import spectral_norm
+from .linalg import gaussian_sampler, spectral_norm
 
 __all__ = [
     "ConfigError",
@@ -369,15 +369,21 @@ def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
     return policy
 
 
+def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradientLinRel:
+    try:  # a configured noise covariance was checked when parsed, so only a replay log's can fail
+        gaussian_sampler(ctx.noise_cov)
+    except ValueError as exc:
+        raise ConfigError(f"policy 'gradient_linrel' cannot draw from the replay log's noise covariance: {exc}") from exc
+    return polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p)
+
+
 POLICY_BUILDERS = {
     "uniform": lambda ctx, p: polmod.UniformRandom(),
     "scripted": _build_scripted,
     "noisy_linrel": lambda ctx, p: polmod.NoisyLinRel(ctx.d, **p),
     "greedy": lambda ctx, p: polmod.ExploreThenCommitGreedy(ctx.d, ctx.T, **p),
     "linucb": lambda ctx, p: polmod.LinUCB(ctx.d, **p),
-    "gradient_linrel": lambda ctx, p: polmod.RegretGradientLinRel(
-        ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p
-    ),
+    "gradient_linrel": _build_gradient_linrel,
     "oracle_tc": lambda ctx, p: polmod.FixedCoefficient(
         _require_theta_star(ctx, "oracle_tc"), name="oracle_tc"
     ),
@@ -681,8 +687,8 @@ def run_diagnostics(cfg: RunConfig):
         checkpoint = 1
         for _, _, (round_ctx, _), arm, y in _play_environment((spec,), seed, environment):
             eps = round_ctx.eps[0]
-            n1 += np.outer(round_ctx.z[arm], eps)
-            n2 += np.outer(eps, eps) - noise_cov
+            n1 += round_ctx.z[arm][:, None] * eps  # np.outer's product without its wrapper
+            n2 += eps[:, None] * eps - noise_cov
             n3 += round_ctx.x[arm] * (y - float(round_ctx.z[arm] @ theta_star))
             if round_ctx.t == checkpoint:
                 checkpoint *= 2

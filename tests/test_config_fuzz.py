@@ -5,7 +5,10 @@ Valid run configs (T <= 5, d <= 3, K <= 3, at most two seeds, mc_samples
 always present and at most 4, since their defaults are the full release
 table) are generated, and then one value at any depth is mutated. It is
 replaced by a bool, null, a number as a string, a list, an object, 0, -1 or
-+-1e300, or its key is deleted, or an unknown key is added beside it. The
++-1e300, or its key is deleted, or an unknown key is added beside it. A
+number or list may instead be nudged within its type: a float scaled by up
+to 10%, an integer moved by one, a list permuted. Those documents mostly
+stay valid, so the finite-CSV check below runs on more of them. The
 CLI runs in-process on the result: `run`, `diagnose` and `replay` (on a
 fixed 6-round log with K=3, d=3) on a run config, `gradtable` on a table
 config. It must return 0, 2, 3 or 4 without an exception escaping, and
@@ -157,6 +160,15 @@ def locations(node, path=()):
         yield from locations(value, path + (key,))
 
 
+def nearby(old, size):
+    """A value of old's type near it: a list permuted, a float scaled, an integer moved by one."""
+    if isinstance(old, list):
+        return st.permutations(old)
+    if isinstance(old, float):
+        return unit(0.9, 1.1).map(lambda factor: old * factor)
+    return st.sampled_from([-1, 1]).map(lambda step: old - 1 if size and old + step > 10 else old + step)
+
+
 @st.composite
 def mutated(draw, configs, kept=frozenset()):
     doc = draw(configs)
@@ -171,13 +183,17 @@ def mutated(draw, configs, kept=frozenset()):
     key = path[-1]
     size = next((k for k in reversed(path) if isinstance(k, str)), None) in SIZES
     ops = ["replace", "add"] + ([] if key in kept else ["delete"])
+    old = parent[key]
+    if isinstance(old, (int, float, list)) and not isinstance(old, bool):
+        ops.insert(0, "nudge")  # first, so that Hypothesis picks it most often
     op = draw(st.sampled_from(ops))
-    if op == "delete":
+    if op == "nudge":
+        parent[key] = draw(nearby(old, size))
+    elif op == "delete":
         del parent[key]
     elif op == "add" and isinstance(parent, dict):
         parent["unknown_key"] = draw(st.sampled_from(REPLACEMENTS))
     else:
-        old = parent[key]
         candidates = REPLACEMENTS + ([str(old)] if isinstance(old, (int, float)) else [])
         if size:
             candidates = [v for v in candidates if not (isinstance(v, (int, float)) and v > 10)]

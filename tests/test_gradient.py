@@ -21,7 +21,7 @@ from bandit_lab.gradient import (
     per_round_expected_regret,
     regret_gradient,
 )
-from bandit_lab.policies import bayes_optimal_theta
+from bandit_lab.policies import RegretGradientLinRel, bayes_optimal_theta
 
 
 def norm_cdf(x: float) -> float:
@@ -243,6 +243,27 @@ class TestRegretGradient:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("sets", [None, 3])
+    def test_policy_prebuilt_sampler_matches_covariance(self, dense, sets):
+        # gradient_linrel builds its noise sampler once and hands it to
+        # regret_gradient in place of the covariance; the draws and the
+        # gradient must not change by a bit.
+        data_rng = np.random.default_rng(31)
+        d = 4
+        noise_cov = np.diag(0.1 * np.arange(1, d + 1))
+        if dense:
+            root = data_rng.standard_normal((d, d))
+            noise_cov = root @ root.T + 0.2 * np.eye(d)
+        policy = RegretGradientLinRel(d, noise_cov, keyed_rng(31))
+        z = data_rng.standard_normal((5, d) if sets is None else (sets, 5, d))
+        theta, theta_star = data_rng.standard_normal(d), data_rng.standard_normal(d)
+        cfg = GradientConfig(mc_noise_samples=200, fd_step=0.1)
+        expected = regret_gradient(theta, z, theta_star, noise_cov, cfg, keyed_rng(32))
+        got = regret_gradient(theta, z, theta_star, policy.noise_draw, cfg, keyed_rng(32))
+        assert np.any(expected != 0.0)
+        assert np.array_equal(got, expected)
 
 
 class TestAveragedGradient:

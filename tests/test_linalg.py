@@ -80,6 +80,41 @@ class TestEigendecompose:
         recon = (u * lam) @ u.T
         assert np.max(np.abs(recon - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_exactly_symmetric_input_skips_the_copy_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((d, d))
+        for a in (g + g.T, g @ g.T, np.asfortranarray(g + g.T), (g + g.T)[::-1, ::-1]):
+            assert np.array_equal(a, a.T)
+            vals, vecs = np.linalg.eigh(sym_matrix(a))
+            eig = eigendecompose(a)
+            assert np.array_equal(eig.eigenvalues, vals[::-1])
+            assert np.array_equal(eig.eigenvectors, vecs[:, ::-1])
+
+    def test_asymmetric_input_is_still_averaged(self):
+        a = np.random.default_rng(5).standard_normal((4, 4))
+        vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+        eig = eigendecompose(a)
+        assert np.array_equal(eig.eigenvalues, vals[::-1])
+        assert np.array_equal(eig.eigenvectors, vecs[:, ::-1])
+        assert not np.array_equal(eig.eigenvalues, np.linalg.eigvalsh(a)[::-1])  # not the lower triangle alone
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([np.inf, 1.0]),
+            np.diag([np.nan, 1.0]),
+            np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+            np.zeros((2, 3)),
+            np.zeros(3),
+            np.zeros((0, 0)),
+            np.zeros((1, 2, 2)),
+        ],
+    )
+    def test_rejects_non_finite_non_square_and_empty_arrays(self, a):
+        with pytest.raises(ValueError):
+            eigendecompose(a)
+
 
 class TestRankThreshold:
     def setup_method(self):

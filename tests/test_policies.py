@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,37 @@ class TestNoisyLinRel:
     def test_alpha_exponent_validated(self):
         with pytest.raises(ValueError):
             NoisyLinRel(d=2, alpha_exponent=0.4)
+
+    @pytest.mark.parametrize("case", ["random", "tie", "inf", "nan"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_rank_select_matches_the_elimination_loop(self, case, seed):
+        # At full rank every width is 0. select may skip the loop, but it must
+        # play the arm candidate_set plus a uniform draw plays and leave the
+        # generator where that draw leaves it.
+        rng = np.random.default_rng(seed)
+        d, k_arms, t = 10, 5, 50
+        policy = NoisyLinRel(d)
+        for i in range(1, 200):
+            policy.observe(i, 0, rng.standard_normal(d), float(rng.standard_normal()), 0.1 * np.eye(d))
+        _, k, theta = policy.estimate(t)
+        assert k == d
+        x = rng.standard_normal((k_arms, d))
+        if case == "tie":
+            x[3] = x[1] = x[int(np.argmax(x @ theta))]
+        elif case == "inf":
+            x[2, 0] = math.copysign(math.inf, theta[0])
+        elif case == "nan":
+            x[3, 0] = math.nan
+        r = x @ theta
+        assert case != "tie" or r[1] == r[3] == r.max()
+        assert (case == "inf") == (r.max() == math.inf)
+        assert (case == "nan") == np.isnan(r).any()
+        expected_rng = np.random.default_rng(seed + 100)
+        candidates = candidate_set(r, lambda i, c: 0.0)
+        expected = candidates[int(expected_rng.integers(len(candidates)))]
+        policy_rng = np.random.default_rng(seed + 100)
+        assert policy.select(t, x, policy_rng) == expected
+        assert policy_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestExploreThenCommitGreedy:

@@ -208,3 +208,26 @@ class TestRunReplay:
         err = capsys.readouterr().err
         assert "gradient_linrel" in err and "finite" in err and "stopped at round" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "column, fault",
+        [(["1e200", "-1e200", "2e200", "-2e200", "1e200", "-1e200"], "finite"), (["1.0"] * 6, "positive-definite")],
+    )
+    def test_unusable_log_covariance_is_named_as_the_logs(self, tmp_path, capsys, column, fault):
+        # Overflowing or constant context_1: 0.1 of its variance is inf or 0. The
+        # config's parameters are fine, so the message blames the log's covariance.
+        rows = [(0, 0, "1.0", 1.0), (0, 1, "0.0", 0.2), (1, 0, "0.5", 0.3), (1, 1, "1.0", 0.8), (2, 0, "0.2", 0.5), (2, 1, "0.3", 0.1)]
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "round,arm_index,context_0,context_1,reward\n"
+            + "".join(f"{rid},{arm},{c0},{c1},{y}\n" for (rid, arm, c0, y), c1 in zip(rows, column))
+        )
+        cfg = tmp_path / "cfg.json"
+        environment = {"K": 2, "d": 2, "T": 3, "feature_distribution": {"kind": "iid", "family": {"name": "gaussian"}}}
+        policies = [{"name": "gradient_linrel", "params": {"mc_samples": 20}}]
+        cfg.write_text(json.dumps({"environment": environment, "policies": policies, "seeds": [0]}))
+        code = main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "replay log's noise covariance" in err and fault in err and "bad parameters" not in err
+        assert not (tmp_path / "o").exists()
