@@ -1,7 +1,8 @@
 """Golden digests: the bytes of small pinned runs must not change.
 
 Each case writes a CSV (and, for emission, the SVG charts) through the
-public runner API and compares its SHA-256 with a recorded value. Most cases stay at d <= 3,
+public runner API, or the gradient table through `bandit-lab gradtable`,
+and compares its SHA-256 with a recorded value. Most cases stay at d <= 3,
 which NLinRel's spectral cut keeps in full within a few rounds; the
 full-rank cases run d = 10 long enough to cross from a partial to a full
 kept rank. Every matrix stays small enough that BLAS threading cannot
@@ -11,10 +12,12 @@ state itself and re-record the affected digest.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from bandit_lab.cli import EXIT_OK, main
 from bandit_lab.runner import (
     PolicySpec,
     ReplayDataset,
@@ -77,6 +80,18 @@ EXPECTED = {
     "replay_full_rank": "b8ee9eb3a1e512407dc578996b50a0e263b873d522442ba712c2b86add615aff",
     "diagnostics_full_rank_noisy_linrel": "6c19ce0f0c4e14978b264159c91a61afbcc32f4aac5fb49e44c33bfeaeaa88a6",
     "diagnostics_full_rank_gradient_linrel": "adc359da54965a078326f4b022b9fcd2dd5555551363d0e5eb3b294c847910d7",
+    "gradtable": "1056704bf2392179e69c70ae86603dc2ce4b124ebce3122b35d36e58d81c82ca",
+}
+
+# Every named distribution of `bandit-lab gradtable`, at d = 4, K = 3 and
+# 40 feature sets x 30 noise draws each.
+GRADTABLE_CONFIG = {
+    "distributions": ["gaussian", "uniform", "laplace", "exponential", "lognormal", "mixture_gaussian", "mixture_uniform"],
+    "theta_star_seed": 0,
+    "K": 3,
+    "d": 4,
+    "feature_samples": 40,
+    "mc_noise_samples": 30,
 }
 
 # d = 10, K = 5: NLinRel first keeps all ten directions between rounds 28
@@ -204,3 +219,11 @@ def test_emitted_outputs_digest(tmp_path):
     cfg = parse_run_config({"environment": EMISSION_ENV, "policies": EMISSION_POLICIES, "seeds": list(range(9))})
     written = emit_outputs(run_simulation(cfg), tmp_path, charts=True)
     assert {path.name: digest(path) for path in written} == EXPECTED_EMISSION
+
+
+def test_gradtable_digest(tmp_path):
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(GRADTABLE_CONFIG))
+    path = tmp_path / "table.csv"
+    assert main(["gradtable", "--config", str(cfg), "--out", str(path)]) == EXIT_OK
+    assert digest(path) == EXPECTED["gradtable"]
