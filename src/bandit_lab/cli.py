@@ -6,20 +6,24 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
 import argparse
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import env as envmod
 from .gradient import GradientConfig, gradient_norm_table
 from .runner import (
+    MAX_SEED,
     ConfigError,
     DataFormatError,
+    _dimensions,
     _integer,
+    _names,
     _number,
     _numbers,
     emit_outputs,
     load_run_config,
+    parse_feature_distribution,
     read_json_object,
     read_replay_csv,
     run_diagnostics,
@@ -33,19 +37,19 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-TABLE_DISTRIBUTIONS = {
-    "gaussian": lambda: envmod.FeatureDistribution.iid(envmod.GaussianFamily(0.0, 1.0)),
-    "uniform": lambda: envmod.FeatureDistribution.iid(envmod.UniformFamily(-1.0, 1.0)),
-    "laplace": lambda: envmod.FeatureDistribution.iid(envmod.LaplaceFamily(0.0, 1.0)),
-    "exponential": lambda: envmod.FeatureDistribution.iid(envmod.ExponentialFamily(1.0)),
-    "lognormal": lambda: envmod.FeatureDistribution.iid(envmod.LogNormalFamily(0.0, 1.0)),
-    "mixture_gaussian": lambda: envmod.FeatureDistribution.iid(
-        envmod.MixtureFamily(0.3, envmod.GaussianFamily(10.0, 1.0), envmod.GaussianFamily(-10.0, 1.0))
-    ),
-    "mixture_uniform": lambda: envmod.FeatureDistribution.iid(
-        envmod.MixtureFamily(0.3, envmod.UniformFamily(9.0, 11.0), envmod.UniformFamily(-11.0, -9.0))
-    ),
+# The gradient table's named feature laws: iid family specs of the run config, read at d = 1 (they do not depend on d).
+TABLE_FAMILIES = {
+    "gaussian": {"name": "gaussian", "mean": 0.0, "std": 1.0},
+    "uniform": {"name": "uniform", "low": -1.0, "high": 1.0},
+    "laplace": {"name": "laplace", "loc": 0.0, "scale": 1.0},
+    "exponential": {"name": "exponential", "rate": 1.0},
+    "lognormal": {"name": "lognormal", "mu": 0.0, "sigma": 1.0},
+    "mixture_gaussian": {"name": "mixture", "weight": 0.3, "first": {"name": "gaussian", "mean": 10.0, "std": 1.0},
+                         "second": {"name": "gaussian", "mean": -10.0, "std": 1.0}},
+    "mixture_uniform": {"name": "mixture", "weight": 0.3, "first": {"name": "uniform", "low": 9.0, "high": 11.0},
+                        "second": {"name": "uniform", "low": -11.0, "high": -9.0}},
 }
+TABLE_DISTRIBUTIONS = {name: partial(parse_feature_distribution, {"kind": "iid", "family": f}, 1) for name, f in TABLE_FAMILIES.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,14 +95,9 @@ def _cmd_replay(args) -> int:
 
 def _cmd_gradtable(args) -> int:
     doc = read_json_object(args.config)
-    names = doc.get("distributions", list(TABLE_DISTRIBUTIONS))
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise ConfigError(f"'distributions' must be a list of names, got {names!r}")
-    try:
-        distributions = [(name, TABLE_DISTRIBUTIONS[name]()) for name in names]
-    except KeyError as exc:
-        raise ConfigError(f"unknown distribution {exc}") from exc
-    d = _integer("d", doc.get("d", 10), minimum=1)
+    names = _names("distributions", doc.get("distributions", list(TABLE_DISTRIBUTIONS)), TABLE_DISTRIBUTIONS, "distribution")
+    distributions = [(name, TABLE_DISTRIBUTIONS[name]()) for name in names]
+    k_arms, d = _dimensions(doc.get("K", 5), doc.get("d", 10))
     noise_var = _numbers("noise_diag", doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)]), (d,))
     if not np.all(noise_var > 0):
         raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_var.tolist()!r}")
@@ -109,10 +108,10 @@ def _cmd_gradtable(args) -> int:
         raise ConfigError(f"'fd_step' must be positive, got {fd_step!r}")
     rows = gradient_norm_table(
         distributions,
-        theta_star_seed=_integer("theta_star_seed", doc.get("theta_star_seed", 0)),
+        theta_star_seed=_integer("theta_star_seed", doc.get("theta_star_seed", 0), minimum=0, maximum=MAX_SEED),
         noise_cov=np.diag(noise_var),
         cfg=GradientConfig(mc_noise_samples, fd_step, feature_samples),
-        k_arms=_integer("K", doc.get("K", 5), minimum=1),
+        k_arms=k_arms,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

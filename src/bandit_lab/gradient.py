@@ -21,6 +21,7 @@ running total, so no chunk-sized buffer is held (except for d == 1, whose
 single column numpy sums pairwise over the whole chunk).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class GradientConfig:
     def __post_init__(self):
         if self.mc_noise_samples < 1 or self.feature_samples < 1:
             raise ValueError("sample counts must be at least 1")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if not 0 < self.fd_step < math.inf:
+            raise ValueError("fd_step must be positive and finite")
 
 
 def _as_feature_sets(z) -> np.ndarray:
@@ -230,21 +231,15 @@ def arm_set_sampler(dist, k_arms: int, d: int):
     return sampler
 
 
-def gradient_norm_table(
-    distributions,
-    theta_star_seed: int,
-    noise_cov,
-    cfg: GradientConfig,
-    rng=None,
-    k_arms: int = 5,
-):
+def gradient_norm_table(distributions, theta_star_seed: int, noise_cov, cfg: GradientConfig, k_arms: int = 5):
     """Gradient norms at the noise-shrunk coefficient, one row per distribution.
 
     ``distributions`` is a list of (label, FeatureDistribution). theta_star
     has coordinates uniform on [-1, 1] drawn from theta_star_seed; for each
     distribution the objective gradient is averaged over cfg.feature_samples
     hidden feature sets and evaluated at the closed-form coefficient derived
-    from that distribution's analytic covariance. Returns a list of
+    from that distribution's analytic covariance. The feature sets and noise
+    come from a second stream of theta_star_seed. Returns a list of
     (label, l2_norm) pairs.
     """
     from .policies import bayes_optimal_theta
@@ -252,8 +247,7 @@ def gradient_norm_table(
     noise_cov = np.asarray(noise_cov, dtype=float)
     d = noise_cov.shape[0]
     theta_star = envmod.draw_theta_star(d, envmod.keyed_rng(theta_star_seed, 0, envmod.LANE_THETA), max_norm=None)
-    if rng is None:
-        rng = envmod.keyed_rng(theta_star_seed, 1, envmod.LANE_THETA)
+    rng = envmod.keyed_rng(theta_star_seed, 1, envmod.LANE_THETA)
     rows = []
     for label, dist in distributions:
         feature_cov = dist.covariance_matrix(d)

@@ -20,7 +20,7 @@ import numpy as np
 from . import env as envmod
 from . import policies as polmod
 from .gradient import arm_set_sampler
-from .linalg import gaussian_sampler, spectral_norm
+from .linalg import gaussian_sampler, spectral_norm, sym_matrix
 
 __all__ = [
     "ConfigError",
@@ -161,6 +161,31 @@ def _string(key: str, value) -> str:
     return value
 
 
+def _names(key: str, value, allowed, kind: str) -> list:
+    """A JSON list of strings, each one of the allowed names of this kind."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ConfigError(f"{key!r} must be a list of {kind} names, got {value!r}")
+    for name in value:
+        if name not in allowed:
+            raise ConfigError(f"unknown {kind} {name!r}")
+    return value
+
+
+def _fit_in_memory(nbytes: int, what: str) -> None:
+    """A ConfigError naming what, unless its nbytes fit in physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(f"{what}, about {nbytes} bytes held, more than the {memory} bytes of physical memory")
+
+
+def _dimensions(K, d) -> tuple:
+    """K and d, each at least 1, such that one d x d float matrix and one round's K x d draw fit in memory."""
+    K, d = _integer("K", K, minimum=1), _integer("d", d, minimum=1)
+    _fit_in_memory(8 * d * d, f"'d' = {d} makes a {d} x {d} matrix")
+    _fit_in_memory(8 * K * d, f"'K' = {K} arms x d = {d} make a {K} x {d} draw per round")
+    return K, d
+
+
 _FAMILY_CLASSES = {
     "gaussian": envmod.GaussianFamily,
     "uniform": envmod.UniformFamily,
@@ -256,12 +281,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     seeds = tuple(_integers("seeds", doc.get("seeds"), minimum=0, maximum=MAX_SEED))
     if not seeds:
         raise ConfigError("config needs a nonempty integer list 'seeds'")
-    metrics = doc.get("metrics", list(ALLOWED_METRICS))
-    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-        raise ConfigError(f"'metrics' must be a list of metric names, got {metrics!r}")
-    for m in metrics:
-        if m not in ALLOWED_METRICS:
-            raise ConfigError(f"unknown metric {m!r}")
+    metrics = _names("metrics", doc.get("metrics", list(ALLOWED_METRICS)), ALLOWED_METRICS, "metric")
     environment_for_seed(env_spec, seeds[0])  # fail before any round runs
     return RunConfig(env_spec=env_spec, policies=policies, seeds=seeds, metrics=tuple(metrics))
 
@@ -298,7 +318,7 @@ def environment_for_seed(env_spec: dict, seed: int) -> envmod.EnvironmentConfig:
     drawn from the seed (coordinates uniform on [-1, 1], rescaled into the
     unit ball only when needed).
     """
-    K, d = (_integer(key, env_spec.get(key), minimum=1) for key in ("K", "d"))
+    K, d = _dimensions(env_spec.get("K"), env_spec.get("d"))
     T = _integer("T", env_spec.get("T"), minimum=1, maximum=MAX_ROUNDS)
     reward_noise_sigma = _number("reward_noise_sigma", env_spec.get("reward_noise_sigma", 0.0))
     dist = parse_feature_distribution(env_spec.get("feature_distribution", {"kind": "iid", "family": {"name": "gaussian"}}), d)
@@ -369,18 +389,27 @@ def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
     return policy
 
 
-def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradientLinRel:
+def _check_log_covariance(ctx: PolicyContext, name: str, check) -> None:
     try:  # a configured noise covariance was checked when parsed, so only a replay log's can fail
-        gaussian_sampler(ctx.noise_cov)
+        check(ctx.noise_cov)
     except ValueError as exc:
-        raise ConfigError(f"policy 'gradient_linrel' cannot draw from the replay log's noise covariance: {exc}") from exc
+        raise ConfigError(f"policy {name!r} cannot use the replay log's noise covariance: {exc}") from exc
+
+
+def _build_noisy_linrel(ctx: PolicyContext, p: dict) -> polmod.NoisyLinRel:
+    _check_log_covariance(ctx, "noisy_linrel", sym_matrix)  # finite; a constant column's zero variance is usable
+    return polmod.NoisyLinRel(ctx.d, **p)
+
+
+def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradientLinRel:
+    _check_log_covariance(ctx, "gradient_linrel", gaussian_sampler)  # also positive-definite, to draw from
     return polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p)
 
 
 POLICY_BUILDERS = {
     "uniform": lambda ctx, p: polmod.UniformRandom(),
     "scripted": _build_scripted,
-    "noisy_linrel": lambda ctx, p: polmod.NoisyLinRel(ctx.d, **p),
+    "noisy_linrel": _build_noisy_linrel,
     "greedy": lambda ctx, p: polmod.ExploreThenCommitGreedy(ctx.d, ctx.T, **p),
     "linucb": lambda ctx, p: polmod.LinUCB(ctx.d, **p),
     "gradient_linrel": _build_gradient_linrel,
@@ -488,12 +517,7 @@ def _records_in_output_order(specs, seeds, rounds: int, steps):
     ConfigError.
     """
     rows = rounds * len(seeds) * len(specs)
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if rows * RECORD_BYTES > memory:
-        raise ConfigError(
-            f"'T' = {rounds} rounds x {len(seeds)} seeds x {len(specs)} policies make {rows} result rows, "
-            f"about {rows * RECORD_BYTES} bytes held, more than the {memory} bytes of physical memory"
-        )
+    _fit_in_memory(rows * RECORD_BYTES, f"'T' = {rounds} rounds x {len(seeds)} seeds x {len(specs)} policies make {rows} result rows")
     held = [[] for _ in specs[1:]]
     for seed in seeds:
         cum = [0.0] * len(specs)

@@ -427,8 +427,22 @@ class TestGradtableCommand:
             ({"noise_diag": [0, 1], "d": 2}, "noise_diag must hold d=2 positive numbers"),
             ({"K": 0}, "'K' must be at least 1"),
             ({"distributions": "gaussian"}, "'distributions' must be a list"),
+            ({"theta_star_seed": 2**64}, "'theta_star_seed' must be at most 18446744073709551615"),
+            ({"theta_star_seed": -1}, "'theta_star_seed' must be at least 0"),
+            ({"d": 10**6}, "'d' = 1000000 makes a 1000000 x 1000000 matrix"),
+            ({"K": 10**12}, "'K' = 1000000000000 arms"),
         ],
-        ids=["d-string", "no-mc-samples", "zero-noise-variance", "no-arms", "distributions-string"],
+        ids=[
+            "d-string",
+            "no-mc-samples",
+            "zero-noise-variance",
+            "no-arms",
+            "distributions-string",
+            "seed-aliasing-0",
+            "seed-aliasing-max",
+            "d-beyond-memory",
+            "K-beyond-memory",
+        ],
     )
     def test_bad_table_config_exits_config(self, tmp_path, capsys, field, message):
         cfg = tmp_path / "grad.json"
@@ -436,6 +450,11 @@ class TestGradtableCommand:
         assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_largest_theta_star_seed_runs(self, tmp_path):
+        cfg = tmp_path / "grad.json"
+        cfg.write_text(json.dumps({"distributions": ["gaussian"], "feature_samples": 2, "mc_noise_samples": 2, "theta_star_seed": 2**64 - 1}))
+        assert main(["gradtable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == EXIT_OK
 
 
 class TestDiagnoseCommand:
@@ -506,11 +525,15 @@ MVN = "multivariate_gaussian"
         ("run", ("environment", "feature_distribution"), {"kind": MVN, "covariance": [["1", "0"], ["0", "1"]]}, "'covariance'"),
         ("run", ("policies", 0, "label"), 5, "'label'"),
         ("gradtable", ("noise_diag",), [True, True], "'noise_diag'"),
-        # Families whose mean or variance overflows a double, rows too many to hold, and an integer that does.
+        # Families whose mean or variance overflows a double, rows, a d x d matrix or a round's draw too large
+        # to hold (each an array-allocation traceback before), and an integer that overflows a double.
         ("run", ("environment", "feature_distribution", "family"), {"name": "lognormal", "sigma": 30}, "feature_distribution"),
         ("run", ("environment", "feature_distribution", "family"), {"name": "gaussian", "std": 1e300}, "feature_distribution"),
         ("run", ("environment", "feature_distribution", "family"), {"name": "uniform", "low": -1e308, "high": 1e308}, "feature_distribution"),
         ("run", ("environment", "T"), 10**30, "'T'"),
+        ("run", ("environment", "d"), 10**6, "'d'"),
+        ("run", ("environment", "K"), 10**12, "'K'"),
+        ("gradtable", ("d",), 10**6, "'d'"),
         ("run", ("environment", "reward_noise_sigma"), 10**400, "'reward_noise_sigma'"),
     ],
     ids=[
@@ -530,6 +553,9 @@ MVN = "multivariate_gaussian"
         "gaussian-variance-overflows",
         "uniform-variance-infinite",
         "huge-T",
+        "run-d-beyond-memory",
+        "run-K-beyond-memory",
+        "gradtable-d-beyond-memory",
         "integer-beyond-a-double",
     ],
 )

@@ -337,7 +337,10 @@ class TestGradientNormTable:
 def test_config_validation():
     with pytest.raises(ValueError):
         GradientConfig(mc_noise_samples=0)
-    with pytest.raises(ValueError):
-        GradientConfig(fd_step=0.0)
+    for fd_step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fd_step"):
+            GradientConfig(fd_step=fd_step)
+        with pytest.raises(ValueError, match="fd_step"):
+            RegretGradientLinRel(2, np.eye(2), np.random.default_rng(0), fd_step=fd_step)
     with pytest.raises(ValueError):
         GradientConfig(feature_samples=0)

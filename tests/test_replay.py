@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bandit_lab.cli import EXIT_CONFIG, main
+from bandit_lab.cli import EXIT_CONFIG, EXIT_OK, main
 from bandit_lab.policies import Policy
 from bandit_lab.runner import (
     ConfigError,
@@ -215,7 +215,8 @@ class TestRunReplay:
     )
     def test_unusable_log_covariance_is_named_as_the_logs(self, tmp_path, capsys, column, fault):
         # Overflowing or constant context_1: 0.1 of its variance is inf or 0. The
-        # config's parameters are fine, so the message blames the log's covariance.
+        # config's parameters are fine, so the message blames the log's covariance,
+        # before round 1. noisy_linrel draws no noise, so only a non-finite one stops it.
         rows = [(0, 0, "1.0", 1.0), (0, 1, "0.0", 0.2), (1, 0, "0.5", 0.3), (1, 1, "1.0", 0.8), (2, 0, "0.2", 0.5), (2, 1, "0.3", 0.1)]
         data = tmp_path / "data.csv"
         data.write_text(
@@ -224,10 +225,15 @@ class TestRunReplay:
         )
         cfg = tmp_path / "cfg.json"
         environment = {"K": 2, "d": 2, "T": 3, "feature_distribution": {"kind": "iid", "family": {"name": "gaussian"}}}
-        policies = [{"name": "gradient_linrel", "params": {"mc_samples": 20}}]
-        cfg.write_text(json.dumps({"environment": environment, "policies": policies, "seeds": [0]}))
-        code = main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "replay log's noise covariance" in err and fault in err and "bad parameters" not in err
-        assert not (tmp_path / "o").exists()
+        for policy in [{"name": "gradient_linrel", "params": {"mc_samples": 20}}, {"name": "noisy_linrel"}]:
+            cfg.write_text(json.dumps({"environment": environment, "policies": [policy], "seeds": [0]}))
+            out = tmp_path / policy["name"]
+            code = main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            if policy["name"] == "noisy_linrel" and fault == "positive-definite":
+                assert code == EXIT_OK and err == ""
+                continue
+            assert code == EXIT_CONFIG
+            assert f"policy {policy['name']!r} cannot use the replay log's noise covariance" in err and fault in err
+            assert "bad parameters" not in err and "stopped at round" not in err
+            assert not out.exists()
