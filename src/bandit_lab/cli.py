@@ -6,24 +6,18 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
 import argparse
 import csv
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .gradient import GradientConfig, gradient_norm_table
+from .gradient import gradient_norm_table
 from .runner import (
-    MAX_SEED,
+    TABLE_DISTRIBUTIONS,  # noqa: F401 -- the gradient table's distribution names, also read as cli.TABLE_DISTRIBUTIONS
     ConfigError,
     DataFormatError,
-    _dimensions,
-    _integer,
-    _names,
-    _number,
-    _numbers,
     emit_outputs,
     load_run_config,
-    parse_feature_distribution,
+    parse_table_config,
     read_json_object,
     read_replay_csv,
     run_diagnostics,
@@ -36,20 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
-
-# The gradient table's named feature laws: iid family specs of the run config, read at d = 1 (they do not depend on d).
-TABLE_FAMILIES = {
-    "gaussian": {"name": "gaussian", "mean": 0.0, "std": 1.0},
-    "uniform": {"name": "uniform", "low": -1.0, "high": 1.0},
-    "laplace": {"name": "laplace", "loc": 0.0, "scale": 1.0},
-    "exponential": {"name": "exponential", "rate": 1.0},
-    "lognormal": {"name": "lognormal", "mu": 0.0, "sigma": 1.0},
-    "mixture_gaussian": {"name": "mixture", "weight": 0.3, "first": {"name": "gaussian", "mean": 10.0, "std": 1.0},
-                         "second": {"name": "gaussian", "mean": -10.0, "std": 1.0}},
-    "mixture_uniform": {"name": "mixture", "weight": 0.3, "first": {"name": "uniform", "low": 9.0, "high": 11.0},
-                        "second": {"name": "uniform", "low": -11.0, "high": -9.0}},
-}
-TABLE_DISTRIBUTIONS = {name: partial(parse_feature_distribution, {"kind": "iid", "family": f}, 1) for name, f in TABLE_FAMILIES.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,25 +74,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_gradtable(args) -> int:
-    doc = read_json_object(args.config)
-    names = _names("distributions", doc.get("distributions", list(TABLE_DISTRIBUTIONS)), TABLE_DISTRIBUTIONS, "distribution")
-    distributions = [(name, TABLE_DISTRIBUTIONS[name]()) for name in names]
-    k_arms, d = _dimensions(doc.get("K", 5), doc.get("d", 10))
-    noise_var = _numbers("noise_diag", doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)]), (d,))
-    if not np.all(noise_var > 0):
-        raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_var.tolist()!r}")
-    mc_noise_samples = _integer("mc_noise_samples", doc.get("mc_noise_samples", 1000), minimum=1)
-    feature_samples = _integer("feature_samples", doc.get("feature_samples", 10_000), minimum=1)
-    fd_step = _number("fd_step", doc.get("fd_step", 1e-2))
-    if not fd_step > 0:
-        raise ConfigError(f"'fd_step' must be positive, got {fd_step!r}")
-    rows = gradient_norm_table(
-        distributions,
-        theta_star_seed=_integer("theta_star_seed", doc.get("theta_star_seed", 0), minimum=0, maximum=MAX_SEED),
-        noise_cov=np.diag(noise_var),
-        cfg=GradientConfig(mc_noise_samples, fd_step, feature_samples),
-        k_arms=k_arms,
-    )
+    rows = gradient_norm_table(**parse_table_config(read_json_object(args.config)))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:

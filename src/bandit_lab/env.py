@@ -15,19 +15,15 @@ from .linalg import gaussian_sampler, sym_matrix
 
 __all__ = [
     "EnvironmentConfig",
-    "ExponentialFamily",
+    "FAMILIES",
+    "Family",
     "FeatureDistribution",
-    "GaussianFamily",
     "LANE_CONTEXT",
     "LANE_POLICY",
     "LANE_REWARD",
     "LANE_THETA",
-    "LaplaceFamily",
-    "LogNormalFamily",
-    "MixtureFamily",
     "NoiseModel",
     "RoundContext",
-    "UniformFamily",
     "bar_theta_arm",
     "draw_theta_star",
     "instantaneous_regret",
@@ -93,151 +89,100 @@ _round_stream = _RekeyedStream()
 # Per-coordinate feature families
 # ---------------------------------------------------------------------------
 #
-# ``sample_raw`` draws the family exactly as parameterized. ``sample`` is the
-# draw actually used for features: non-Gaussian scalar families are
-# recentered to mean zero, while mixtures are deliberately left as written
-# (their components encode the intended multi-modal shape, offset included).
+# One FAMILIES entry per law: its parameters with their defaults (_REQUIRED for
+# none), the range rule, the mean and variance, the numpy draw exactly as
+# parameterized, and whether features are recentered to mean zero; a mixture
+# names its components, the parameters that are each a Family. A Gaussian keeps
+# its configured mean, and a mixture is sampled as written: its components
+# encode the intended multi-modal shape, offset included.
+
+_REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class GaussianFamily:
-    mean: float = 0.0
-    std: float = 1.0
+def _mixture_mean(p) -> float:
+    return p["weight"] * p["first"].analytic_mean() + (1 - p["weight"]) * p["second"].analytic_mean()
 
-    def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+
+def _mixture_variance(p) -> float:
+    w, first, second = p["weight"], p["first"], p["second"]
+    second_moment = w * (first.variance() + first.analytic_mean() ** 2) + (1 - w) * (second.variance() + second.analytic_mean() ** 2)
+    return second_moment - _mixture_mean(p) ** 2
+
+
+def _mixture_draw(p, rng, size) -> np.ndarray:
+    pick_first = rng.random(size=size) < p["weight"]
+    a = p["first"].sample_raw(rng, size)
+    b = p["second"].sample_raw(rng, size)
+    return np.where(pick_first, a, b)
+
+
+FAMILIES = {
+    "gaussian": dict(
+        params={"mean": 0.0, "std": 1.0}, rule="std must be positive", valid=lambda p: p["std"] > 0,
+        mean=lambda p: p["mean"], variance=lambda p: p["std"] ** 2, recentered=False,
+        draw=lambda p, rng, size: rng.normal(p["mean"], p["std"], size=size)),
+    "uniform": dict(
+        params={"low": _REQUIRED, "high": _REQUIRED}, rule="need high > low", valid=lambda p: p["high"] > p["low"],
+        mean=lambda p: (p["low"] + p["high"]) / 2.0, variance=lambda p: (p["high"] - p["low"]) ** 2 / 12.0, recentered=True,
+        draw=lambda p, rng, size: rng.uniform(p["low"], p["high"], size=size)),
+    "laplace": dict(
+        params={"loc": 0.0, "scale": 1.0}, rule="scale must be positive", valid=lambda p: p["scale"] > 0,
+        mean=lambda p: p["loc"], variance=lambda p: 2.0 * p["scale"] ** 2, recentered=True,
+        draw=lambda p, rng, size: rng.laplace(p["loc"], p["scale"], size=size)),
+    "exponential": dict(
+        params={"rate": 1.0}, rule="rate must be positive", valid=lambda p: p["rate"] > 0,
+        mean=lambda p: 1.0 / p["rate"], variance=lambda p: 1.0 / p["rate"] ** 2, recentered=True,
+        draw=lambda p, rng, size: rng.exponential(1.0 / p["rate"], size=size)),
+    "lognormal": dict(
+        params={"mu": 0.0, "sigma": 1.0}, rule="sigma must be positive", valid=lambda p: p["sigma"] > 0,
+        mean=lambda p: math.exp(p["mu"] + p["sigma"] ** 2 / 2.0),
+        variance=lambda p: (math.exp(p["sigma"] ** 2) - 1.0) * math.exp(2.0 * p["mu"] + p["sigma"] ** 2), recentered=True,
+        draw=lambda p, rng, size: rng.lognormal(p["mu"], p["sigma"], size=size)),
+    "mixture": dict(
+        params={"weight": _REQUIRED, "first": _REQUIRED, "second": _REQUIRED}, components=("first", "second"),
+        rule="mixture weight must lie in (0, 1)", valid=lambda p: 0.0 < p["weight"] < 1.0,
+        mean=_mixture_mean, variance=_mixture_variance, recentered=False, draw=_mixture_draw),
+}
+
+
+@dataclass(frozen=True, init=False)
+class Family:
+    """A per-coordinate feature law: a FAMILIES entry and its parameter values."""
+
+    name: str
+    params: dict
+
+    def __init__(self, name: str, **params):
+        law = FAMILIES.get(name)
+        if law is None:
+            raise ValueError(f"unknown family {name!r}")
+        for key in params:
+            if key not in law["params"]:
+                raise ValueError(f"unknown parameter {key!r} for family {name!r}")
+        values = {**law["params"], **params}
+        for key, value in values.items():
+            if value is _REQUIRED:
+                raise ValueError(f"missing parameter {key!r} for family {name!r}")
+        if not law["valid"](values):
+            raise ValueError(f"bad parameters for family {name!r}: {law['rule']}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", values)
+        object.__setattr__(self, "_law", law)
 
     def analytic_mean(self) -> float:
-        return self.mean
+        return self._law["mean"](self.params)
 
     def variance(self) -> float:
-        return self.std**2
+        return self._law["variance"](self.params)
 
     def sample_raw(self, rng, size) -> np.ndarray:
-        return rng.normal(self.mean, self.std, size=size)
-
-    sample = sample_raw
-
-
-@dataclass(frozen=True)
-class UniformFamily:
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not self.high > self.low:
-            raise ValueError("need high > low")
-
-    def analytic_mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def variance(self) -> float:
-        return (self.high - self.low) ** 2 / 12.0
-
-    def sample_raw(self, rng, size) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=size)
+        """The draw exactly as parameterized."""
+        return self._law["draw"](self.params, rng, size)
 
     def sample(self, rng, size) -> np.ndarray:
-        return self.sample_raw(rng, size) - self.analytic_mean()
-
-
-@dataclass(frozen=True)
-class LaplaceFamily:
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    def analytic_mean(self) -> float:
-        return self.loc
-
-    def variance(self) -> float:
-        return 2.0 * self.scale**2
-
-    def sample_raw(self, rng, size) -> np.ndarray:
-        return rng.laplace(self.loc, self.scale, size=size)
-
-    def sample(self, rng, size) -> np.ndarray:
-        return self.sample_raw(rng, size) - self.loc
-
-
-@dataclass(frozen=True)
-class ExponentialFamily:
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-    def analytic_mean(self) -> float:
-        return 1.0 / self.rate
-
-    def variance(self) -> float:
-        return 1.0 / self.rate**2
-
-    def sample_raw(self, rng, size) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate, size=size)
-
-    def sample(self, rng, size) -> np.ndarray:
-        return self.sample_raw(rng, size) - self.analytic_mean()
-
-
-@dataclass(frozen=True)
-class LogNormalFamily:
-    mu: float = 0.0
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def analytic_mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
-    def variance(self) -> float:
-        s2 = self.sigma**2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
-
-    def sample_raw(self, rng, size) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size=size)
-
-    def sample(self, rng, size) -> np.ndarray:
-        return self.sample_raw(rng, size) - self.analytic_mean()
-
-
-@dataclass(frozen=True)
-class MixtureFamily:
-    """Two-component mixture, sampled exactly as parameterized (no recentering)."""
-
-    weight: float
-    first: object
-    second: object
-
-    def __post_init__(self):
-        if not 0.0 < self.weight < 1.0:
-            raise ValueError("mixture weight must lie in (0, 1)")
-
-    def analytic_mean(self) -> float:
-        w = self.weight
-        return w * self.first.analytic_mean() + (1 - w) * self.second.analytic_mean()
-
-    def variance(self) -> float:
-        w = self.weight
-        second_moment = w * (
-            self.first.variance() + self.first.analytic_mean() ** 2
-        ) + (1 - w) * (self.second.variance() + self.second.analytic_mean() ** 2)
-        return second_moment - self.analytic_mean() ** 2
-
-    def sample_raw(self, rng, size) -> np.ndarray:
-        pick_first = rng.random(size=size) < self.weight
-        a = self.first.sample_raw(rng, size)
-        b = self.second.sample_raw(rng, size)
-        return np.where(pick_first, a, b)
-
-    sample = sample_raw
+        """The draw used for features: recentered to mean zero if the family is."""
+        raw = self._law["draw"](self.params, rng, size)
+        return raw - self._law["mean"](self.params) if self._law["recentered"] else raw
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +196,7 @@ class FeatureDistribution:
 
     kind: str
     covariance: np.ndarray | None = None
-    family: object | None = None
+    family: Family | None = None
 
     def __post_init__(self):
         if self.kind == "multivariate_gaussian":

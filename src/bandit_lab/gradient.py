@@ -66,7 +66,7 @@ class GradientConfig:
         if self.mc_noise_samples < 1 or self.feature_samples < 1:
             raise ValueError("sample counts must be at least 1")
         if not 0 < self.fd_step < math.inf:
-            raise ValueError("fd_step must be positive and finite")
+            raise ValueError(f"'fd_step' must be positive and finite, got {self.fd_step!r}")
 
 
 def _as_feature_sets(z) -> np.ndarray:

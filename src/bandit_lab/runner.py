@@ -14,12 +14,13 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import env as envmod
 from . import policies as polmod
-from .gradient import arm_set_sampler
+from .gradient import GradientConfig, arm_set_sampler
 from .linalg import gaussian_sampler, spectral_norm, sym_matrix
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "emit_outputs",
     "environment_for_seed",
     "load_run_config",
+    "parse_table_config",
     "read_json_object",
     "read_records_csv",
     "run_diagnostics",
@@ -56,6 +58,10 @@ MAX_ROUNDS = 2**61 - 1
 # x 10^4 rounds (K=5, d=10, CPython 3.11, x86-64): peak RSS 198.4 MiB against
 # 38.9 MiB for a one-row run, so (198.4 - 38.9) MiB / (5 * 10^5 rows).
 RECORD_BYTES = 334
+# Bytes a regret gradient holds per noise entry (draws x K x d) of its one
+# resident feature set. tracemalloc peaks of one regret_gradient call at
+# 10^5-2*10^5 draws were 2.3 (K=5, d=10) to 4.1 (K=2, d=1) times 8 bytes.
+NOISE_ENTRY_BYTES = 40
 
 
 class ConfigError(ValueError):
@@ -186,32 +192,20 @@ def _dimensions(K, d) -> tuple:
     return K, d
 
 
-_FAMILY_CLASSES = {
-    "gaussian": envmod.GaussianFamily,
-    "uniform": envmod.UniformFamily,
-    "laplace": envmod.LaplaceFamily,
-    "exponential": envmod.ExponentialFamily,
-    "lognormal": envmod.LogNormalFamily,
-    "mixture": envmod.MixtureFamily,
-}
-
-
-def parse_family(spec: dict):
+def parse_family(spec: dict) -> envmod.Family:
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"family spec must be an object with a 'name': {spec!r}")
     name = _string("name", spec["name"])
-    cls = _FAMILY_CLASSES.get(name)
-    if cls is None:
+    law = envmod.FAMILIES.get(name)
+    if law is None:
         raise ConfigError(f"unknown family {name!r}")
+    components = law.get("components", ())
     params = {
-        key: parse_family(value) if key in ("first", "second") else _number(key, value)  # a mixture's components
+        key: parse_family(value) if key in components else _number(key, value)
         for key, value in spec.items()
         if key != "name"
     }
-    try:
-        return cls(**params)
-    except (TypeError, ValueError) as exc:  # a missing or unknown field, or a bad value
-        raise ConfigError(f"bad parameters for family {name!r}: {exc}") from exc
+    return envmod.Family(name, **params)  # its ValueError names a missing, unknown or out-of-range parameter
 
 
 def parse_feature_distribution(spec: dict, d: int) -> envmod.FeatureDistribution:
@@ -223,7 +217,7 @@ def parse_feature_distribution(spec: dict, d: int) -> envmod.FeatureDistribution
             return envmod.FeatureDistribution.multivariate_gaussian(_numbers("covariance", spec.get("covariance"), (d, d)))
         if kind == "iid":
             return envmod.FeatureDistribution.iid(parse_family(spec.get("family")))
-    except ValueError as exc:
+    except ValueError as exc:  # a bad covariance or family
         raise ConfigError(f"bad feature_distribution: {exc}") from exc
     except OverflowError as exc:  # a family's mean or variance
         raise ConfigError(f"feature_distribution moments overflow a double: {exc}") from exc
@@ -284,6 +278,46 @@ def parse_run_config(doc: dict) -> RunConfig:
     metrics = _names("metrics", doc.get("metrics", list(ALLOWED_METRICS)), ALLOWED_METRICS, "metric")
     environment_for_seed(env_spec, seeds[0])  # fail before any round runs
     return RunConfig(env_spec=env_spec, policies=policies, seeds=seeds, metrics=tuple(metrics))
+
+
+# The gradient table's named feature laws: iid family specs, read at d = 1 (they do not depend on d).
+TABLE_FAMILIES = {
+    "gaussian": {"name": "gaussian", "mean": 0.0, "std": 1.0},
+    "uniform": {"name": "uniform", "low": -1.0, "high": 1.0},
+    "laplace": {"name": "laplace", "loc": 0.0, "scale": 1.0},
+    "exponential": {"name": "exponential", "rate": 1.0},
+    "lognormal": {"name": "lognormal", "mu": 0.0, "sigma": 1.0},
+    "mixture_gaussian": {"name": "mixture", "weight": 0.3, "first": {"name": "gaussian", "mean": 10.0, "std": 1.0},
+                         "second": {"name": "gaussian", "mean": -10.0, "std": 1.0}},
+    "mixture_uniform": {"name": "mixture", "weight": 0.3, "first": {"name": "uniform", "low": 9.0, "high": 11.0},
+                        "second": {"name": "uniform", "low": -11.0, "high": -9.0}},
+}
+TABLE_DISTRIBUTIONS = {name: partial(parse_feature_distribution, {"kind": "iid", "family": f}, 1) for name, f in TABLE_FAMILIES.items()}
+
+
+def parse_table_config(doc: dict) -> dict:
+    """gradient.gradient_norm_table's keyword arguments from a gradient-table config, each value read and range-checked."""
+    names = _names("distributions", doc.get("distributions", list(TABLE_DISTRIBUTIONS)), TABLE_DISTRIBUTIONS, "distribution")
+    k_arms, d = _dimensions(doc.get("K", 5), doc.get("d", 10))
+    noise_var = _numbers("noise_diag", doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)]), (d,))
+    if not np.all(noise_var > 0):
+        raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_var.tolist()!r}")
+    mc_noise_samples = _integer("mc_noise_samples", doc.get("mc_noise_samples", 1000), minimum=1)
+    _fit_in_memory(NOISE_ENTRY_BYTES * mc_noise_samples * k_arms * d,
+                   f"'mc_noise_samples' = {mc_noise_samples} noise draws x {k_arms} arms x d = {d} per feature set")
+    feature_samples = _integer("feature_samples", doc.get("feature_samples", 10_000), minimum=1)
+    fd_step = _number("fd_step", doc.get("fd_step", 1e-2))
+    try:
+        cfg = GradientConfig(mc_noise_samples, fd_step, feature_samples)
+    except ValueError as exc:  # the counts were read as at least 1, so fd_step
+        raise ConfigError(str(exc)) from exc
+    return dict(
+        distributions=[(name, TABLE_DISTRIBUTIONS[name]()) for name in names],
+        theta_star_seed=_integer("theta_star_seed", doc.get("theta_star_seed", 0), minimum=0, maximum=MAX_SEED),
+        noise_cov=np.diag(noise_var),
+        cfg=cfg,
+        k_arms=k_arms,
+    )
 
 
 def _parse_policy_specs(raw) -> tuple:
@@ -403,7 +437,10 @@ def _build_noisy_linrel(ctx: PolicyContext, p: dict) -> polmod.NoisyLinRel:
 
 def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradientLinRel:
     _check_log_covariance(ctx, "gradient_linrel", gaussian_sampler)  # also positive-definite, to draw from
-    return polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p)
+    policy = polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p)
+    s = policy.grad_cfg.mc_noise_samples
+    _fit_in_memory(NOISE_ENTRY_BYTES * s * ctx.K * ctx.d, f"'mc_samples' makes {s} noise draws x {ctx.K} arms x d = {ctx.d} per feature set")
+    return policy
 
 
 POLICY_BUILDERS = {

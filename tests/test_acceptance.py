@@ -139,20 +139,30 @@ def test_02_posterior_mean_regression():
 @pytest.fixture(scope="session")
 def gradient_table():
     distributions = [
-        ("gaussian", envmod.FeatureDistribution.iid(envmod.GaussianFamily())),
+        ("gaussian", envmod.FeatureDistribution.iid(envmod.Family("gaussian"))),
         (
             "mixture_gaussian",
             envmod.FeatureDistribution.iid(
-                envmod.MixtureFamily(0.3, envmod.GaussianFamily(10.0, 1.0), envmod.GaussianFamily(-10.0, 1.0))
+                envmod.Family(
+                    "mixture",
+                    weight=0.3,
+                    first=envmod.Family("gaussian", mean=10.0, std=1.0),
+                    second=envmod.Family("gaussian", mean=-10.0, std=1.0),
+                )
             ),
         ),
         (
             "mixture_uniform",
             envmod.FeatureDistribution.iid(
-                envmod.MixtureFamily(0.3, envmod.UniformFamily(9.0, 11.0), envmod.UniformFamily(-11.0, -9.0))
+                envmod.Family(
+                    "mixture",
+                    weight=0.3,
+                    first=envmod.Family("uniform", low=9.0, high=11.0),
+                    second=envmod.Family("uniform", low=-11.0, high=-9.0),
+                )
             ),
         ),
-        ("lognormal", envmod.FeatureDistribution.iid(envmod.LogNormalFamily())),
+        ("lognormal", envmod.FeatureDistribution.iid(envmod.Family("lognormal"))),
     ]
     noise_cov = np.diag(NOISE_DIAG)
     start = time.monotonic()

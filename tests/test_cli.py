@@ -431,6 +431,8 @@ class TestGradtableCommand:
             ({"theta_star_seed": -1}, "'theta_star_seed' must be at least 0"),
             ({"d": 10**6}, "'d' = 1000000 makes a 1000000 x 1000000 matrix"),
             ({"K": 10**12}, "'K' = 1000000000000 arms"),
+            ({"fd_step": 0}, "'fd_step' must be positive"),
+            ({"feature_samples": 0}, "'feature_samples' must be at least 1"),
         ],
         ids=[
             "d-string",
@@ -442,6 +444,8 @@ class TestGradtableCommand:
             "seed-aliasing-max",
             "d-beyond-memory",
             "K-beyond-memory",
+            "zero-fd-step",
+            "no-feature-samples",
         ],
     )
     def test_bad_table_config_exits_config(self, tmp_path, capsys, field, message):
@@ -535,6 +539,13 @@ MVN = "multivariate_gaussian"
         ("run", ("environment", "K"), 10**12, "'K'"),
         ("gradtable", ("d",), 10**6, "'d'"),
         ("run", ("environment", "reward_noise_sigma"), 10**400, "'reward_noise_sigma'"),
+        # Monte-Carlo draws of one feature set too large to hold, each an array-allocation traceback before.
+        ("gradtable", ("mc_noise_samples",), 10**12, "'mc_noise_samples'"),
+        ("run", ("policies", 0), {"name": "gradient_linrel", "params": {"mc_samples": 10**12}}, "'mc_samples'"),
+        # A family's missing or unknown parameter.
+        ("run", ("environment", "feature_distribution", "family"), {"name": "uniform", "low": -1.0}, "'high'"),
+        ("run", ("environment", "feature_distribution", "family"), {"name": "mixture", "weight": 0.3, "first": {"name": "gaussian"}}, "'second'"),
+        ("run", ("environment", "feature_distribution", "family"), {"name": "exponential", "scale": 1}, "'scale'"),
     ],
     ids=[
         "theta_star-object",
@@ -557,6 +568,11 @@ MVN = "multivariate_gaussian"
         "run-K-beyond-memory",
         "gradtable-d-beyond-memory",
         "integer-beyond-a-double",
+        "gradtable-mc-beyond-memory",
+        "gradient_linrel-mc-beyond-memory",
+        "uniform-without-high",
+        "mixture-without-second",
+        "exponential-with-scale",
     ],
 )
 def test_rejected_value_exits_config_naming_the_key(tmp_path, capsys, command, path, value, key):

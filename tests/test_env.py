@@ -2,20 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import find, settings
+from hypothesis.errors import NoSuchExample
+from test_config_fuzz import families
 
 from bandit_lab import env as envmod
 from bandit_lab.env import (
+    FAMILIES,
     LANE_CONTEXT,
     LANE_REWARD,
     EnvironmentConfig,
-    ExponentialFamily,
+    Family,
     FeatureDistribution,
-    GaussianFamily,
-    LaplaceFamily,
-    LogNormalFamily,
-    MixtureFamily,
     NoiseModel,
-    UniformFamily,
     bar_theta_arm,
     draw_theta_star,
     instantaneous_regret,
@@ -41,7 +40,7 @@ def make_config(
     if theta_star is None:
         theta_star = np.array([0.6, -0.3, 0.2])[:d]
     if feature_dist is None:
-        feature_dist = FeatureDistribution.iid(GaussianFamily())
+        feature_dist = FeatureDistribution.iid(Family("gaussian"))
     return EnvironmentConfig(
         K=K,
         d=d,
@@ -54,26 +53,46 @@ def make_config(
     )
 
 
+# One family of each FAMILIES entry, its mean moved off zero where a parameter sets it.
+FAMILY_EXAMPLES = {
+    "gaussian": Family("gaussian", std=2.0),
+    "uniform": Family("uniform", low=2.0, high=5.0),
+    "laplace": Family("laplace", loc=1.5, scale=2.0),
+    "exponential": Family("exponential", rate=0.5),
+    "lognormal": Family("lognormal"),
+    "mixture": Family("mixture", weight=0.3, first=Family("uniform", low=9.0, high=11.0), second=Family("gaussian", mean=-10.0)),
+}
+
+
 class TestFamilies:
-    @pytest.mark.parametrize(
-        "family",
-        [
-            UniformFamily(-1.0, 1.0),
-            UniformFamily(2.0, 5.0),
-            LaplaceFamily(1.5, 2.0),
-            ExponentialFamily(1.0),
-            ExponentialFamily(0.5),
-            LogNormalFamily(0.0, 1.0),
-        ],
-    )
+    def test_every_family_has_an_example(self):
+        assert FAMILY_EXAMPLES.keys() == FAMILIES.keys()
+
+    def test_config_fuzz_draws_exactly_the_table_families(self):
+        # so that a new FAMILIES entry cannot go unfuzzed
+        search = settings(derandomize=True, database=None, max_examples=300)
+        for name in FAMILIES:
+            assert find(families(), lambda spec: spec["name"] == name, settings=search)["name"] == name
+        with pytest.raises(NoSuchExample):
+            find(families(), lambda spec: spec["name"] not in FAMILIES, settings=search)
+
+    @pytest.mark.parametrize("family", list(FAMILY_EXAMPLES.values()))
     def test_centered_families_have_zero_mean(self, family):
+        # a family that is not recentered keeps the mean of its parameters
+        expected = 0.0 if FAMILIES[family.name]["recentered"] else family.analytic_mean()
         rng = np.random.default_rng(0)
         draws = family.sample(rng, 200_000)
         sd = np.sqrt(family.variance())
-        assert abs(draws.mean()) < 4 * sd / np.sqrt(draws.size)
+        assert abs(draws.mean() - expected) < 4 * sd / np.sqrt(draws.size)
+
+    def test_gaussian_with_a_mean_is_not_recentered(self):
+        fam = Family("gaussian", mean=10.0)
+        assert np.array_equal(fam.sample(keyed_rng(5), 10), keyed_rng(5).normal(10.0, 1.0, size=10))
+        draws = fam.sample(np.random.default_rng(5), 100_000)
+        assert abs(draws.mean() - 10.0) < 4 / np.sqrt(draws.size)
 
     def test_mixture_keeps_literal_mean(self):
-        fam = MixtureFamily(0.3, GaussianFamily(10.0, 1.0), GaussianFamily(-10.0, 1.0))
+        fam = Family("mixture", weight=0.3, first=Family("gaussian", mean=10.0, std=1.0), second=Family("gaussian", mean=-10.0, std=1.0))
         assert fam.analytic_mean() == pytest.approx(-4.0)
         rng = np.random.default_rng(1)
         draws = fam.sample(rng, 200_000)
@@ -81,7 +100,7 @@ class TestFamilies:
         assert abs(draws.mean() - (-4.0)) < 4 * sd / np.sqrt(draws.size)
 
     def test_mixture_variance_formula(self):
-        fam = MixtureFamily(0.3, UniformFamily(9.0, 11.0), UniformFamily(-11.0, -9.0))
+        fam = Family("mixture", weight=0.3, first=Family("uniform", low=9.0, high=11.0), second=Family("uniform", low=-11.0, high=-9.0))
         # components have variance 1/3 about means +-10; mixture mean is -4
         expected = 0.3 * (1.0 / 3.0 + 100.0) + 0.7 * (1.0 / 3.0 + 100.0) - 16.0
         assert fam.variance() == pytest.approx(expected)
@@ -89,11 +108,11 @@ class TestFamilies:
         draws = fam.sample(rng, 300_000)
         assert draws.var() == pytest.approx(expected, rel=0.02)
 
-    def test_family_variances_match_samples(self):
+    @pytest.mark.parametrize("family", list(FAMILY_EXAMPLES.values()))
+    def test_family_variances_match_samples(self, family):
         rng = np.random.default_rng(3)
-        for fam in (LaplaceFamily(0.0, 1.0), ExponentialFamily(1.0), LogNormalFamily(0.0, 1.0)):
-            draws = fam.sample(rng, 400_000)
-            assert draws.var() == pytest.approx(fam.variance(), rel=0.05)
+        draws = family.sample(rng, 400_000)
+        assert draws.var() == pytest.approx(family.variance(), rel=0.05)
 
 
 class TestFeatureDistribution:
@@ -106,7 +125,7 @@ class TestFeatureDistribution:
         assert np.max(np.abs(emp - cov)) <= 0.05 * np.max(np.abs(cov))
 
     def test_iid_covariance_matrix(self):
-        dist = FeatureDistribution.iid(UniformFamily(-1.0, 1.0))
+        dist = FeatureDistribution.iid(Family("uniform", low=-1.0, high=1.0))
         assert np.allclose(dist.covariance_matrix(4), (1.0 / 3.0) * np.eye(4))
 
     def test_rejects_indefinite_covariance(self):

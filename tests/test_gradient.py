@@ -6,11 +6,8 @@ import pytest
 
 from bandit_lab import gradient as gradient_module
 from bandit_lab.env import (
+    Family,
     FeatureDistribution,
-    GaussianFamily,
-    LogNormalFamily,
-    MixtureFamily,
-    UniformFamily,
     keyed_rng,
 )
 from bandit_lab.gradient import (
@@ -287,7 +284,7 @@ class TestAveragedGradient:
         d, k = 10, 5
         noise_cov = np.diag(0.1 * np.arange(1, d + 1))
         theta_star = keyed_rng(17).uniform(-1, 1, size=d)
-        dist = FeatureDistribution.iid(GaussianFamily())
+        dist = FeatureDistribution.iid(Family("gaussian"))
         theta_bar = bayes_optimal_theta(dist.covariance_matrix(d), noise_cov, theta_star)
         cfg = GradientConfig(mc_noise_samples=1000, feature_samples=10_000)
         grad = averaged_gradient(
@@ -300,7 +297,7 @@ class TestAveragedGradient:
         noise_cov = np.diag(0.1 * np.arange(1, d + 1))
         theta_star = keyed_rng(19).uniform(-1, 1, size=d)
         dist = FeatureDistribution.iid(
-            MixtureFamily(0.3, UniformFamily(9.0, 11.0), UniformFamily(-11.0, -9.0))
+            Family("mixture", weight=0.3, first=Family("uniform", low=9.0, high=11.0), second=Family("uniform", low=-11.0, high=-9.0))
         )
         theta_bar = bayes_optimal_theta(dist.covariance_matrix(d), noise_cov, theta_star)
         cfg = GradientConfig(mc_noise_samples=300, feature_samples=3_000)
@@ -315,8 +312,8 @@ class TestGradientNormTable:
         d = 10
         noise_cov = np.diag(0.1 * np.arange(1, d + 1))
         distributions = [
-            ("gaussian", FeatureDistribution.iid(GaussianFamily())),
-            ("lognormal", FeatureDistribution.iid(LogNormalFamily())),
+            ("gaussian", FeatureDistribution.iid(Family("gaussian"))),
+            ("lognormal", FeatureDistribution.iid(Family("lognormal"))),
         ]
         cfg = GradientConfig(mc_noise_samples=200, feature_samples=1_000)
         rows = gradient_norm_table(distributions, 0, noise_cov, cfg)
@@ -328,7 +325,7 @@ class TestGradientNormTable:
         # symmetric uni-modal features keep the closed form near-optimal
         d = 10
         noise_cov = np.diag(0.1 * np.arange(1, d + 1))
-        distributions = [("uniform", FeatureDistribution.iid(UniformFamily(-1.0, 1.0)))]
+        distributions = [("uniform", FeatureDistribution.iid(Family("uniform", low=-1.0, high=1.0)))]
         cfg = GradientConfig(mc_noise_samples=500, fd_step=0.05, feature_samples=4_000)
         rows = gradient_norm_table(distributions, 0, noise_cov, cfg)
         assert rows[0][1] <= 0.05

@@ -5,8 +5,8 @@ import pytest
 
 from bandit_lab.env import (
     EnvironmentConfig,
+    Family,
     FeatureDistribution,
-    GaussianFamily,
     NoiseModel,
     keyed_rng,
     reward,
@@ -174,7 +174,7 @@ class TestNoisyLinRel:
             d=3,
             T=4000,
             theta_star=theta_star,
-            feature_dist=FeatureDistribution.iid(GaussianFamily()),
+            feature_dist=FeatureDistribution.iid(Family("gaussian")),
             noise=NoiseModel("identical", 0.5 * np.eye(3)),
             reward_noise_sigma=0.1,
             seed=12,
@@ -261,7 +261,7 @@ class TestExploreThenCommitGreedy:
             d=2,
             T=3000,
             theta_star=theta_star,
-            feature_dist=FeatureDistribution.iid(GaussianFamily()),
+            feature_dist=FeatureDistribution.iid(Family("gaussian")),
             noise=NoiseModel("per_arm", 0.5 * np.eye(2)),
             reward_noise_sigma=0.1,
             seed=3,
@@ -411,7 +411,7 @@ def _gaussian_env(seed, d=4, K=5, T=3000, noise_scale=0.5):
         d=d,
         T=T,
         theta_star=theta_star,
-        feature_dist=FeatureDistribution.iid(GaussianFamily()),
+        feature_dist=FeatureDistribution.iid(Family("gaussian")),
         noise=NoiseModel("per_arm", noise_scale * np.eye(d)),
         reward_noise_sigma=0.1,
         seed=seed,
