@@ -167,6 +167,16 @@ def _string(key: str, value) -> str:
     return value
 
 
+def _object(where: str, value, keys) -> dict:
+    """A JSON object holding no key outside keys; a missing key is left to the reader of its value."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return value
+
+
 def _names(key: str, value, allowed, kind: str) -> list:
     """A JSON list of strings, each one of the allowed names of this kind."""
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
@@ -193,9 +203,7 @@ def _dimensions(K, d) -> tuple:
 
 
 def parse_family(spec: dict) -> envmod.Family:
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError(f"family spec must be an object with a 'name': {spec!r}")
-    name = _string("name", spec["name"])
+    name = _string("name", _object("family", spec, spec).get("name"))  # Family names an unknown parameter itself
     law = envmod.FAMILIES.get(name)
     if law is None:
         raise ConfigError(f"unknown family {name!r}")
@@ -209,30 +217,29 @@ def parse_family(spec: dict) -> envmod.Family:
 
 
 def parse_feature_distribution(spec: dict, d: int) -> envmod.FeatureDistribution:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("feature_distribution must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _string("kind", _object("feature_distribution", spec, spec).get("kind"))
+    field = {"multivariate_gaussian": "covariance", "iid": "family"}.get(kind)
+    if field is None:
+        raise ConfigError(f"unknown feature_distribution kind {kind!r}")
+    _object(f"feature_distribution of kind {kind!r}", spec, ("kind", field))
     try:
         if kind == "multivariate_gaussian":
             return envmod.FeatureDistribution.multivariate_gaussian(_numbers("covariance", spec.get("covariance"), (d, d)))
-        if kind == "iid":
-            return envmod.FeatureDistribution.iid(parse_family(spec.get("family")))
+        return envmod.FeatureDistribution.iid(parse_family(spec.get("family")))
     except ValueError as exc:  # a bad covariance or family
         raise ConfigError(f"bad feature_distribution: {exc}") from exc
     except OverflowError as exc:  # a family's mean or variance
         raise ConfigError(f"feature_distribution moments overflow a double: {exc}") from exc
-    raise ConfigError(f"unknown feature_distribution kind {kind!r}")
 
 
 def _parse_covariance(spec, d: int) -> np.ndarray:
-    if isinstance(spec, dict) and "diag" in spec:
-        return np.diag(_numbers("diag", spec["diag"], (d,)))
+    if isinstance(spec, dict):
+        return np.diag(_numbers("diag", _object("covariance", spec, ("diag",)).get("diag"), (d,)))
     return _numbers("covariance", spec, (d, d))
 
 
 def parse_noise_model(spec: dict, d: int) -> envmod.NoiseModel:
-    if not isinstance(spec, dict):
-        raise ConfigError("noise must be an object")
+    spec = _object("noise", spec, ("mode", "covariance", "truncation_radius"))
     covariance = _parse_covariance(spec["covariance"], d) if "covariance" in spec else np.eye(d)
     radius = _number("truncation_radius", spec["truncation_radius"]) if "truncation_radius" in spec else None
     try:
@@ -249,15 +256,12 @@ def _finite_number(text: str) -> float:
 
 
 def read_json_object(path) -> dict:
-    """Read a JSON file holding one object. NaN, Infinity and overflowing numbers are rejected."""
+    """Read a JSON file; its parser checks that it holds an object. NaN, Infinity and overflowing numbers are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except ValueError as exc:  # malformed JSON, bytes that are not UTF-8, or a non-finite number
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return doc
 
 
 def load_run_config(path) -> RunConfig:
@@ -266,18 +270,14 @@ def load_run_config(path) -> RunConfig:
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    env_spec = doc.get("environment")
-    if not isinstance(env_spec, dict):
-        raise ConfigError("config needs an 'environment' object")
+    doc = _object("run config", doc, ("environment", "policies", "seeds", "metrics"))
     policies = _parse_policy_specs(doc.get("policies"))
     seeds = tuple(_integers("seeds", doc.get("seeds"), minimum=0, maximum=MAX_SEED))
     if not seeds:
         raise ConfigError("config needs a nonempty integer list 'seeds'")
     metrics = _names("metrics", doc.get("metrics", list(ALLOWED_METRICS)), ALLOWED_METRICS, "metric")
-    environment_for_seed(env_spec, seeds[0])  # fail before any round runs
-    return RunConfig(env_spec=env_spec, policies=policies, seeds=seeds, metrics=tuple(metrics))
+    environment_for_seed(doc.get("environment"), seeds[0])  # fail before any round runs
+    return RunConfig(env_spec=doc["environment"], policies=policies, seeds=seeds, metrics=tuple(metrics))
 
 
 # The gradient table's named feature laws: iid family specs, read at d = 1 (they do not depend on d).
@@ -297,6 +297,8 @@ TABLE_DISTRIBUTIONS = {name: partial(parse_feature_distribution, {"kind": "iid",
 
 def parse_table_config(doc: dict) -> dict:
     """gradient.gradient_norm_table's keyword arguments from a gradient-table config, each value read and range-checked."""
+    keys = ("distributions", "theta_star_seed", "K", "d", "noise_diag", "feature_samples", "mc_noise_samples", "fd_step")
+    doc = _object("gradient-table config", doc, keys)
     names = _names("distributions", doc.get("distributions", list(TABLE_DISTRIBUTIONS)), TABLE_DISTRIBUTIONS, "distribution")
     k_arms, d = _dimensions(doc.get("K", 5), doc.get("d", 10))
     noise_var = _numbers("noise_diag", doc.get("noise_diag", [0.1 * (i + 1) for i in range(d)]), (d,))
@@ -325,19 +327,13 @@ def _parse_policy_specs(raw) -> tuple:
         raise ConfigError("config needs a nonempty 'policies' list")
     specs = []
     for item in raw:
-        if isinstance(item, str):
-            item = {"name": item}
-        if not (isinstance(item, dict) and "name" in item and isinstance(item.get("params", {}), dict)):
-            raise ConfigError(f"bad policy spec {item!r}")
-        name = _string("name", item["name"])
+        item = _object("policy spec", {"name": item} if isinstance(item, str) else item, ("name", "params", "label"))
+        name = _string("name", item.get("name"))
         if name not in POLICY_BUILDERS:
             raise ConfigError(f"unknown policy {name!r}")
         readers = POLICY_PARAMS.get(name, {})
-        params = {}
-        for key, value in item.get("params", {}).items():
-            if key not in readers:
-                raise ConfigError(f"unknown parameter {key!r} for policy {name!r}")
-            params[key] = readers[key](key, value)
+        params = _object(f"params of policy {name!r}", item.get("params", {}), readers)
+        params = {key: readers[key](key, value) for key, value in params.items()}
         specs.append(PolicySpec(name=name, params=params, label=_string("label", item.get("label", ""))))
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
@@ -352,6 +348,7 @@ def environment_for_seed(env_spec: dict, seed: int) -> envmod.EnvironmentConfig:
     drawn from the seed (coordinates uniform on [-1, 1], rescaled into the
     unit ball only when needed).
     """
+    env_spec = _object("environment", env_spec, ("K", "d", "T", "reward_noise_sigma", "feature_distribution", "noise", "theta_star"))
     K, d = _dimensions(env_spec.get("K"), env_spec.get("d"))
     T = _integer("T", env_spec.get("T"), minimum=1, maximum=MAX_ROUNDS)
     reward_noise_sigma = _number("reward_noise_sigma", env_spec.get("reward_noise_sigma", 0.0))
