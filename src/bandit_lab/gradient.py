@@ -85,9 +85,13 @@ def per_round_expected_regret(theta, z, theta_star, noise_cov, cfg: GradientConf
     per-arm noise sets and averages (z_best - z_picked) . theta_star, where
     best maximizes z . theta_star and picked maximizes (z + eps) . theta.
     Every Monte-Carlo term is nonnegative by definition of the best arm.
+    z is one (K, d) feature set, or a batch (1, K, d) holding one.
     """
     theta = np.asarray(theta, dtype=float)
-    zs = _as_feature_sets(z)[0]
+    zs = _as_feature_sets(z)
+    if zs.shape[0] != 1:
+        raise ValueError(f"expected one feature set, got {zs.shape[0]}")
+    zs = zs[0]
     k_arms, d = zs.shape
     if k_arms == 1:
         return 0.0
@@ -168,6 +172,8 @@ def _gradient_over_samples(theta, zs, theta_star, draw, cfg, rng):
     if theta.shape != (d,) or theta_star.shape != (d,):
         raise ValueError("theta and theta_star must match the feature dimension")
     norm = float(np.linalg.norm(theta))
+    if not math.isfinite(norm):  # e.g. a policy's estimate grown from rewards near 1e308
+        raise ValueError(f"theta's norm {norm} is not finite")
     h = cfg.fd_step * (norm if norm > 0.0 else 1.0)
     total = np.zeros(d)
     if k_arms == 1:

@@ -167,6 +167,8 @@ class NoisyLinRel(Policy):
         eig = eigendecompose(self.Z)
         k = rank_threshold(eig, float(t) ** self.alpha_exponent)
         theta = truncated_pinv_apply(eig, k, self.Y)
+        if not np.isfinite(theta).all():  # e.g. Y overflowed; its scores would turn NaN
+            raise ValueError("the coefficient estimate is not finite")
         return eig, k, theta
 
     def select(self, t, x, rng) -> int:
@@ -250,7 +252,8 @@ class LinUCB(Policy):
 
     A and b change only in observe, so the coefficient solve(A, b) is kept
     from current_theta or select until the next observe. observe raises
-    ValueError once A or b is no longer finite.
+    ValueError once A or b is no longer finite, and select once a score is
+    not.
     """
 
     name = "linucb"
@@ -265,8 +268,12 @@ class LinUCB(Policy):
         self._theta = None  # solve(A, b), kept until observe changes A and b
 
     def select(self, t, x, rng) -> int:
-        widths = np.sqrt(np.sum(x * np.linalg.solve(self.A, x.T).T, axis=1))
-        return int(np.argmax(x @ self.current_theta() + self.ucb_alpha * widths))
+        with np.errstate(over="ignore", invalid="ignore"):  # contexts near 1e308 overflow the widths, even to NaN
+            widths = np.sqrt(np.sum(x * np.linalg.solve(self.A, x.T).T, axis=1))
+            scores = x @ self.current_theta() + self.ucb_alpha * widths
+        if not np.isfinite(scores).all():
+            raise ValueError("arm scores are not finite")
+        return int(np.argmax(scores))
 
     def observe(self, t, arm, x_arm, y, noise_cov) -> None:
         x_arm = np.asarray(x_arm, dtype=float)

@@ -515,6 +515,8 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
             try:
                 arm = policy.select(t, x, policy_rng)
                 y = payoff(info, arm)
+                if not math.isfinite(y):
+                    raise ValueError(f"reward {y!r} is not finite")
                 policy.observe(t, arm, x[arm], y, noise_cov)
             except ValueError as exc:  # e.g. running sums that overflowed a double
                 raise ConfigError(f"policy {specs[i].label!r} stopped at round {t} of seed {seed}: {exc}") from exc
@@ -557,6 +559,9 @@ def _records_in_output_order(specs, seeds, rounds: int, steps):
         cum = [0.0] * len(specs)
         for i, t, arm, y, inst, rel, cos in steps(seed):
             cum[i] += inst
+            if not (math.isfinite(cum[i]) and (rel is None or math.isfinite(rel))):  # a finite cum_regret holds a finite inst_regret
+                raise ConfigError(f"policy {specs[i].label!r} stopped at round {t} of seed {seed}: regret is not finite "
+                                  f"(inst_regret {inst!r}, cum_regret {cum[i]!r}, rel_regret {rel!r})")
             record = RunRecord(t, specs[i].label, seed, arm, y, inst, cum[i], rel, cos)
             if i == 0:
                 yield record
@@ -649,22 +654,26 @@ def read_replay_csv(path) -> ReplayDataset:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file (line 1)") from None
-        d = len(header) - 3
-        if d < 1 or header[:2] != ["round", "arm_index"] or header[-1] != "reward" or header[2:-1] != [f"context_{i}" for i in range(d)]:
-            raise DataFormatError(f"{path}: bad header (line 1): {','.join(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 3:
-                raise DataFormatError(f"{path}: expected {d + 3} fields, got {len(row)} (line {lineno})")
-            try:
-                rows.append((int(row[0]), int(row[1]), [float(v) for v in row[2:]], lineno))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: {exc} (line {lineno})") from exc
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file (line 1)")
+            d = len(header) - 3
+            if d < 1 or header[:2] != ["round", "arm_index"] or header[-1] != "reward" or header[2:-1] != [f"context_{i}" for i in range(d)]:
+                raise DataFormatError(f"{path}: bad header (line 1): {','.join(header)}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != d + 3:
+                    raise DataFormatError(f"{path}: expected {d + 3} fields, got {len(row)} (line {lineno})")
+                try:
+                    rows.append((int(row[0]), int(row[1]), [float(v) for v in row[2:]], lineno))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: {exc} (line {lineno})") from exc
+        except UnicodeDecodeError as exc:  # the text is decoded a block at a time, so the line is not known
+            raise DataFormatError(f"{path}: {exc}") from exc
+        except csv.Error as exc:  # e.g. a field beyond csv's size limit
+            raise DataFormatError(f"{path}: {exc} (line {reader.line_num})") from exc
     if not rows:
         raise DataFormatError(f"{path}: no data rows (line 2)")
 
@@ -739,25 +748,23 @@ def run_diagnostics(cfg: RunConfig):
         noise_cov = environment.noise.covariance
         theta_star = environment.theta_star
         d = environment.d
-        n1 = np.zeros((d, d))
-        n2 = np.zeros((d, d))
-        n3 = np.zeros(d)
+        sums = np.zeros(2 * d * d + d)  # n1, n2 and n3 in one buffer, so one pass checks them all
+        n1, n2, n3 = sums[: d * d].reshape(d, d), sums[d * d : 2 * d * d].reshape(d, d), sums[2 * d * d :]
         checkpoint = 1
         for _, _, (round_ctx, _), arm, y in _play_environment((spec,), seed, environment):
             eps = round_ctx.eps[0]
             n1 += round_ctx.z[arm][:, None] * eps  # np.outer's product without its wrapper
             n2 += eps[:, None] * eps - noise_cov
             n3 += round_ctx.x[arm] * (y - float(round_ctx.z[arm] @ theta_star))
+            # Checked every round: a sum left infinite could turn NaN, with a RuntimeWarning, in the next.
+            if not np.isfinite(sums).all():
+                raise ConfigError(f"policy {spec.label!r} stopped at round {round_ctx.t} of seed {seed}: the diagnostic sums are not finite")
             if round_ctx.t == checkpoint:
                 checkpoint *= 2
-                yield DiagnosticsRecord(
-                    t=round_ctx.t,
-                    policy=spec.label,
-                    seed=seed,
-                    norm_n1=spectral_norm(n1),
-                    norm_n2=spectral_norm(n2),
-                    norm_n3=float(np.linalg.norm(n3)),
-                )
+                norms = (spectral_norm(n1), spectral_norm(n2), float(np.linalg.norm(n3)))
+                if not all(map(math.isfinite, norms)):
+                    raise ConfigError(f"policy {spec.label!r} stopped at round {round_ctx.t} of seed {seed}: norms {norms} are not finite")
+                yield DiagnosticsRecord(round_ctx.t, spec.label, seed, *norms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -509,6 +510,55 @@ class TestDiagnoseCommand:
         assert not out.exists()
 
 
+HUGE_MEAN = {"kind": "iid", "family": {"name": "gaussian", "mean": 1e308}}
+
+
+@pytest.mark.parametrize(
+    "command, environment, policies, log",
+    [
+        # Hidden values z . theta* of 2e308: every row read inf,nan,nan,nan, with exit 0.
+        ("run", {"K": 3, "d": 4, "T": 3, "theta_star": [0.5] * 4, "feature_distribution": HUGE_MEAN, "reward_noise_sigma": 0}, ["uniform"], None),
+        # Logged rewards of +-1e308 in one round: an infinite inst_regret, with exit 0.
+        (
+            "replay",
+            None,
+            ["uniform", {"name": "scripted", "params": {"arms": [1]}}],
+            "round,arm_index,context_0,context_1,reward\n0,0,1.0,0.0,1e308\n0,1,0.0,1.0,-1e308\n"
+            "1,0,0.5,0.5,0.3\n1,1,1.0,-1.0,0.8\n2,0,0.2,0.1,0.5\n2,1,0.3,0.4,0.1\n",
+        ),
+        # A logged reward of -1e308 overflows noisy_linrel's reward-weighted sum: its next scores were NaN,
+        # with a RuntimeWarning from matmul.
+        (
+            "replay",
+            None,
+            ["noisy_linrel"],
+            "round,arm_index,context_0,context_1,reward\n0,0,-2.0,0.0,-1e308\n0,1,-2.0,0.1,-1e308\n"
+            "1,0,0.5,0.5,0.3\n1,1,1.0,-1.0,0.8\n2,0,0.2,0.1,0.5\n2,1,0.3,0.4,0.1\n",
+        ),
+        # Diagnostic sums that overflow: a ValueError traceback from spectral_norm.
+        (
+            "diagnose",
+            {"K": 3, "d": 2, "T": 8, "theta_star": [0.7, 0.7], "feature_distribution": HUGE_MEAN,
+             "noise": {"mode": "identical", "covariance": {"diag": [4, 4]}}},
+            ["uniform"],
+            None,
+        ),
+    ],
+    ids=["run-rewards-overflow", "replay-regret-overflows", "replay-estimate-overflows", "diagnose-sums-overflow"],
+)
+def test_non_finite_values_exit_config_naming_round_and_seed(tmp_path, capsys, command, environment, policies, log):
+    overrides = {} if environment is None else {"environment": environment}
+    cfg = write_config(tmp_path / "cfg.json", policies=policies, seeds=[0], **overrides)
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if log is not None:
+        (tmp_path / "log.csv").write_text(log)
+        args += ["--data", str(tmp_path / "log.csv")]
+    assert main(args) == EXIT_CONFIG  # pytest turns a RuntimeWarning on the way into an error
+    assert re.search(r"stopped at round \d+ of seed 0: .* not finite", capsys.readouterr().err)
+    assert not out.exists()
+
+
 MVN = "multivariate_gaussian"
 
 
@@ -546,6 +596,15 @@ MVN = "multivariate_gaussian"
         ("run", ("environment", "feature_distribution", "family"), {"name": "uniform", "low": -1.0}, "'high'"),
         ("run", ("environment", "feature_distribution", "family"), {"name": "mixture", "weight": 0.3, "first": {"name": "gaussian"}}, "'second'"),
         ("run", ("environment", "feature_distribution", "family"), {"name": "exponential", "scale": 1}, "'scale'"),
+        # Unknown keys, each ignored with exit 0 before every config object's keys were checked.
+        ("run", ("metricz",), ["cum_regret"], "'metricz'"),
+        ("run", ("environment", "reward_noise_sigm"), 0.5, "'reward_noise_sigm'"),
+        ("run", ("environment", "feature_distribution", "extra"), 1, "'extra'"),
+        ("run", ("environment", "feature_distribution", "covariance"), [[1.0, 0.0], [0.0, 1.0]], "'covariance'"),
+        ("run", ("environment", "noise", "mod"), "identical", "'mod'"),
+        ("run", ("environment", "noise", "covariance"), {"diag": [0.2, 0.3], "scale": 1}, "'scale'"),
+        ("run", ("policies", 0, "lable"), "a", "'lable'"),
+        ("gradtable", ("fd_stpe",), -1, "'fd_stpe'"),
     ],
     ids=[
         "theta_star-object",
@@ -573,6 +632,14 @@ MVN = "multivariate_gaussian"
         "uniform-without-high",
         "mixture-without-second",
         "exponential-with-scale",
+        "top-level-metricz",
+        "environment-reward_noise_sigm",
+        "feature_distribution-extra",
+        "iid-with-covariance",
+        "noise-mod",
+        "diag-with-scale",
+        "policy-lable",
+        "gradtable-fd_stpe",
     ],
 )
 def test_rejected_value_exits_config_naming_the_key(tmp_path, capsys, command, path, value, key):

@@ -14,6 +14,12 @@ fixed 6-round log with K=3, d=3) on a run config, `gradtable` on a table
 config. It must return 0, 2, 3 or 4 without an exception escaping, and
 every number in the CSV it writes must be finite.
 
+The replay log itself is fuzzed too: the text write_replay_csv writes for
+the fixed log gets one field set to nan, 1e400, +-1e308, text or nothing,
+one row dropped or duplicated, one arm index changed, or one byte that is
+not UTF-8 inserted. `replay` on it, with an unmutated run config, must
+return 0, 2 or 3 and write finite numbers.
+
 Sizes (K, d, T, seeds, mc_samples, feature_samples, mc_noise_samples) take
 no value above 10. A huge size asks for unbounded work, which is not a type
 error, and it is not what this test looks for.
@@ -24,6 +30,7 @@ import csv
 import io
 import json
 import math
+import random
 import tempfile
 import zlib
 from pathlib import Path
@@ -38,6 +45,7 @@ from bandit_lab.runner import ReplayDataset, write_replay_csv
 SIZES = {"K", "d", "T", "seeds", "mc_samples", "feature_samples", "mc_noise_samples"}
 KEPT_TABLE_KEYS = {"feature_samples", "mc_noise_samples"}  # deleted, they default to the full table
 REPLACEMENTS = [True, False, None, "1", [], [1], {}, {"a": 1}, 0, -1, 1e300, -1e300]
+LOG_FIELDS = ["nan", "1e400", "1e308", "-1e308", "text", ""]
 REPLAY_LOG = ReplayDataset(
     contexts=np.random.default_rng(0).standard_normal((6, 3, 3)), rewards=np.random.default_rng(1).uniform(size=(6, 3))
 )
@@ -248,3 +256,47 @@ def test_mutated_replay_config_runs_or_exits_with_a_code(doc):
 @given(mutated(table_configs(), kept=KEPT_TABLE_KEYS))
 def test_mutated_table_config_runs_or_exits_with_a_code(doc):
     run_cli("gradtable", doc, "table.csv", {0})
+
+
+@st.composite
+def replay_cases(draw):
+    """A run config, and the bytes of REPLAY_LOG's CSV text with one mutation (see the module docstring)."""
+    doc = draw(run_configs())
+    with tempfile.TemporaryDirectory() as tmp:
+        write_replay_csv(Path(tmp) / "log.csv", REPLAY_LOG)
+        lines = (Path(tmp) / "log.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    op = draw(st.sampled_from(["field", "arm", "drop", "duplicate", "byte"]))
+    # As in mutated(): a hash of the drawn document picks each row, field and
+    # value about equally often, where Hypothesis would favour the first.
+    rnd = random.Random(zlib.crc32(json.dumps(doc, sort_keys=True).encode()))
+    row = rnd.randrange(1, len(lines))
+    fields = lines[row].rstrip("\n").split(",")
+    if op == "field":
+        fields[rnd.randrange(len(fields))] = rnd.choice(LOG_FIELDS)
+    elif op == "arm":
+        fields[1] = str(rnd.choice([arm for arm in range(-1, 4) if str(arm) != fields[1]]))
+    lines[row] = ",".join(fields) + "\n"
+    if op == "drop":
+        del lines[row]
+    elif op == "duplicate":
+        lines.insert(row, lines[row])
+    data = "".join(lines).encode("utf-8")
+    if op == "byte":
+        at = rnd.randrange(len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return doc, data
+
+
+@FUZZ_SETTINGS
+@given(replay_cases())
+def test_mutated_replay_log_runs_or_exits_with_a_code(case):
+    doc, log = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, data, out = Path(tmp) / "cfg.json", Path(tmp) / "log.csv", Path(tmp) / "out"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        data.write_bytes(log)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["replay", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+        if code == EXIT_OK:
+            assert_finite_csv(out / "results.csv", {1})

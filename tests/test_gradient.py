@@ -73,6 +73,15 @@ class TestPerRoundExpectedRegret:
             value = per_round_expected_regret(theta, z, theta_star, np.eye(d), cfg, rng)
             assert value >= 0.0
 
+    def test_one_feature_set_only(self):
+        # A batch used to be read as its first set alone.
+        z = np.random.default_rng(7).standard_normal((3, 4, 2))
+        theta, theta_star, cfg = np.array([0.6, -0.3]), np.array([0.5, 0.5]), GradientConfig(mc_noise_samples=64)
+        value = per_round_expected_regret(theta, z[0], theta_star, np.eye(2), cfg, keyed_rng(8))
+        assert per_round_expected_regret(theta, z[:1], theta_star, np.eye(2), cfg, keyed_rng(8)) == value
+        with pytest.raises(ValueError, match="expected one feature set, got 3"):
+            per_round_expected_regret(theta, z, theta_star, np.eye(2), cfg, keyed_rng(8))
+
     def test_positive_scale_invariance(self):
         z = np.random.default_rng(4).standard_normal((4, 3))
         theta = np.array([0.5, -0.2, 0.1])
@@ -98,6 +107,16 @@ class TestRegretGradient:
         z = rng.standard_normal((3, 2))
         with pytest.raises(ValueError, match="finite"):
             regret_gradient(np.ones(2), z, np.array([0.6, -0.8]), np.diag([bad, 1.0]), cfg, rng)
+
+    @pytest.mark.parametrize("theta", [[1e307, 1e307], [np.inf, 0.0]], ids=["norm-overflows", "infinite"])
+    def test_theta_without_finite_norm_rejected(self, theta):
+        # The finite-difference step is fd_step times the norm, so an infinite
+        # one made every difference inf / inf = NaN, with a RuntimeWarning.
+        cfg = GradientConfig(mc_noise_samples=64)
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((3, 2))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="theta's norm"):  # as the CLI runs
+            regret_gradient(np.array(theta), z, np.array([0.6, -0.8]), np.eye(2), cfg, rng)
 
     def test_single_arm_gives_zero_gradient(self):
         cfg = GradientConfig(mc_noise_samples=128)

@@ -305,6 +305,14 @@ class TestLinUCB:
         expected = y * x / (1.0 + float(x @ x))
         assert np.allclose(policy.current_theta(), expected, atol=1e-12)
 
+    def test_non_finite_scores_rejected(self):
+        # A context of -1e308 made the widths inf - inf = NaN, with a RuntimeWarning, and argmax took the NaN.
+        policy = LinUCB(d=2)
+        for _ in range(3):
+            policy.observe(1, 0, np.array([2.0, -1.5]), 0.5, None)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores are not finite"):  # as the CLI runs
+            policy.select(4, np.array([[-0.6, -0.9], [0.2, -1e308]]), None)
+
     def test_gram_stays_positive_definite(self):
         rng = np.random.default_rng(5)
         policy = LinUCB(d=3)

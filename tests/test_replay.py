@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bandit_lab.cli import EXIT_CONFIG, EXIT_OK, main
+from bandit_lab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from bandit_lab.policies import Policy
 from bandit_lab.runner import (
     ConfigError,
@@ -106,6 +106,25 @@ class TestReplayCsv:
         )
         with pytest.raises(DataFormatError):
             read_replay_csv(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (dataset_text().encode().replace(b"0.3,0.4", b"0.3,0.\xff4"), "can't decode byte 0xff"),
+            (dataset_text().replace("0.3,0.4", "0.3," + "4" * 131073).encode(), "field larger than field limit (131072) (line 7)"),
+        ],
+        ids=["non-utf-8-byte", "field-beyond-csv-limit"],
+    )
+    def test_undecodable_log_exits_data_naming_the_file(self, tmp_path, capsys, data, message):
+        # Each ended in a traceback (exit 1): a UnicodeDecodeError, a csv.Error.
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"environment": {"K": 2, "d": 2, "T": 3}, "policies": ["uniform"], "seeds": [0]}))
+        assert main(["replay", "--data", str(path), "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err and message in err
+        assert not (tmp_path / "o").exists()
 
     def test_single_arm_rejected(self):
         with pytest.raises(DataFormatError):

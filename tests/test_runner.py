@@ -1,5 +1,6 @@
 import csv
 import inspect
+import json
 import math
 import re
 from pathlib import Path
@@ -25,6 +26,7 @@ from bandit_lab.runner import (
     emit_outputs,
     environment_for_seed,
     parse_run_config,
+    parse_table_config,
     read_records_csv,
     run_diagnostics,
     run_simulation,
@@ -129,6 +131,13 @@ class TestConfigParsing:
             if names:
                 listed[names[0]] = tuple(names[1:])
         assert listed == {name: tuple(params) for name, params in POLICY_PARAMS.items()}
+
+    def test_readme_json_examples_parse(self):
+        # Every config object takes only its listed keys, so an example that drifts from the readers fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        run_doc, table_doc = (json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.DOTALL))
+        assert [spec.name for spec in parse_run_config(run_doc).policies] == ["noisy_linrel", "linucb", "gradient_linrel"]
+        assert parse_table_config(table_doc)["cfg"].feature_samples == 10_000
 
     def test_random_theta_star_per_seed(self):
         a = environment_for_seed(base_env_spec(theta_star="random"), 0)
