@@ -252,8 +252,8 @@ class LinUCB(Policy):
 
     A and b change only in observe, so the coefficient solve(A, b) is kept
     from current_theta or select until the next observe. observe raises
-    ValueError once A or b is no longer finite, and select once a score is
-    not.
+    ValueError once A or b is no longer finite, and select once the top
+    score is not.
     """
 
     name = "linucb"
@@ -271,9 +271,10 @@ class LinUCB(Policy):
         with np.errstate(over="ignore", invalid="ignore"):  # contexts near 1e308 overflow the widths, even to NaN
             widths = np.sqrt(np.sum(x * np.linalg.solve(self.A, x.T).T, axis=1))
             scores = x @ self.current_theta() + self.ucb_alpha * widths
-        if not np.isfinite(scores).all():
-            raise ValueError("arm scores are not finite")
-        return int(np.argmax(scores))
+        arm = int(np.argmax(scores))  # the first NaN, if there is one
+        if not math.isfinite(scores[arm]):
+            raise ValueError(f"the top arm score {float(scores[arm])!r} is not finite")
+        return arm
 
     def observe(self, t, arm, x_arm, y, noise_cov) -> None:
         x_arm = np.asarray(x_arm, dtype=float)

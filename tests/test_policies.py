@@ -310,7 +310,7 @@ class TestLinUCB:
         policy = LinUCB(d=2)
         for _ in range(3):
             policy.observe(1, 0, np.array([2.0, -1.5]), 0.5, None)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores are not finite"):  # as the CLI runs
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="top arm score nan is not finite"):  # as the CLI runs
             policy.select(4, np.array([[-0.6, -0.9], [0.2, -1e308]]), None)
 
     def test_gram_stays_positive_definite(self):
