@@ -605,6 +605,9 @@ MVN = "multivariate_gaussian"
         ("run", ("environment", "noise", "covariance"), {"diag": [0.2, 0.3], "scale": 1}, "'scale'"),
         ("run", ("policies", 0, "lable"), "a", "'lable'"),
         ("gradtable", ("fd_stpe",), -1, "'fd_stpe'"),
+        # Unknown names of a family and of a feature_distribution kind.
+        ("run", ("environment", "feature_distribution", "family", "name"), "gaussain", "unknown family 'gaussain'"),
+        ("run", ("environment", "feature_distribution", "kind"), "iid2", "unknown feature_distribution kind 'iid2'"),
     ],
     ids=[
         "theta_star-object",
@@ -640,6 +643,8 @@ MVN = "multivariate_gaussian"
         "diag-with-scale",
         "policy-lable",
         "gradtable-fd_stpe",
+        "family-gaussain",
+        "kind-iid2",
     ],
 )
 def test_rejected_value_exits_config_naming_the_key(tmp_path, capsys, command, path, value, key):
@@ -657,3 +662,98 @@ def test_rejected_value_exits_config_naming_the_key(tmp_path, capsys, command, p
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+COMMANDS = ["run", "replay", "gradtable", "diagnose"]
+
+
+def command_argv(tmp_path, command, out):
+    """argv of a small successful run of command writing under out, and the paths it writes, in printed order."""
+    if command == "gradtable":
+        cfg = tmp_path / "grad.json"
+        cfg.write_text(json.dumps({"distributions": ["gaussian"], "d": 2, "K": 2, "feature_samples": 2, "mc_noise_samples": 2}))
+        return ["gradtable", "--config", str(cfg), "--out", str(out)], [out]
+    if command == "diagnose":
+        environment = json.loads(write_config(tmp_path / "cfg.json").read_text())["environment"]
+        environment["noise"]["mode"] = "identical"
+        cfg = write_config(tmp_path / "cfg.json", environment=environment, policies=["uniform"])
+        return ["diagnose", "--config", str(cfg), "--out", str(out)], [out]
+    cfg = write_config(tmp_path / "cfg.json")
+    if command == "run":
+        charts = [out / f"chart_{metric}.svg" for metric in ("cum_regret", "rel_regret", "cos_dist")]
+        return ["run", "--config", str(cfg), "--out", str(out), "--charts"], [out / "results.csv", *charts]
+    (tmp_path / "log.csv").write_text(replay_text())
+    return ["replay", "--data", str(tmp_path / "log.csv"), "--config", str(cfg), "--out", str(out)], [out / "results.csv"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_is_the_written_paths_one_per_line(tmp_path, capsys, command):
+    out = tmp_path / "out" / "sub"
+    argv, written = command_argv(tmp_path, command, out if command in ("run", "replay") else out / "table.csv")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "".join(f"{path}\n" for path in written)
+    assert sorted(path for path in (tmp_path / "out").rglob("*") if path.is_file()) == sorted(written)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_below_a_regular_file_exits_io_and_writes_nothing(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not dir")
+    argv, _ = command_argv(tmp_path, command, blocker / "sub")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o error: ") and str(blocker) in err  # the OS message names the path
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "file, not dir"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unwritable_stdout_exits_io(tmp_path, monkeypatch, capsys, command):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    argv, written = command_argv(tmp_path, command, tmp_path / "out")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == EXIT_IO
+    assert "i/o error: [Errno 32] Broken pipe" in capsys.readouterr().err
+    assert all(path.is_file() for path in written)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in COMMANDS for flag in ("--config", "--out")] + [("replay", "--data")],
+)
+def test_missing_required_flag_exits_usage(tmp_path, capsys, command, flag):
+    argv, _ = command_argv(tmp_path, command, tmp_path / "out")
+    at = argv.index(flag)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:at] + argv[at + 2 :])
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, code, stdout",
+    [
+        ({"distributions": ["gaussian"], "d": 2, "K": 2, "feature_samples": 2, "mc_noise_samples": 2}, EXIT_OK, True),
+        ({"distributions": ["cauchy"]}, EXIT_CONFIG, False),
+    ],
+    ids=["tiny-table", "unknown-distribution"],
+)
+def test_module_entry_point_exits_with_mains_code(tmp_path, doc, code, stdout):
+    cfg = tmp_path / "grad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "table.csv"
+    cmd = [sys.executable, "-m", "bandit_lab.cli", "gradtable", "--config", str(cfg), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == code
+    assert proc.stdout == (f"{out}\n" if stdout else "")
+    assert out.exists() == stdout

@@ -313,6 +313,11 @@ class TestLinUCB:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="top arm score nan is not finite"):  # as the CLI runs
             policy.select(4, np.array([[-0.6, -0.9], [0.2, -1e308]]), None)
 
+    def test_overflowing_sums_rejected(self):
+        policy = LinUCB(d=2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="running sums A and b must be finite"):  # as the CLI runs
+            policy.observe(1, 0, np.array([1e200, 1.0]), 0.5, None)
+
     def test_gram_stays_positive_definite(self):
         rng = np.random.default_rng(5)
         policy = LinUCB(d=3)

@@ -126,6 +126,32 @@ class TestReplayCsv:
         assert f"data error: {path}: " in err and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file (line 1)"), ("round,arm_index,context_0,context_1,reward\n", "no data rows (line 2)")],
+        ids=["empty", "header-only"],
+    )
+    def test_log_without_rows_exits_data(self, tmp_path, capsys, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"environment": {"K": 2, "d": 2, "T": 3}, "policies": ["uniform"], "seeds": [0]}))
+        assert main(["replay", "--data", str(path), "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"data error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"environment": {"K": 2, "d": 2, "T": 3}, "policies": ["uniform", "linucb"], "seeds": [0, 1]}))
+        results = []
+        for name, text in [("plain", dataset_text()), ("blank", dataset_text().replace("\n", "\n\n"))]:
+            (tmp_path / f"{name}.csv").write_text(text)
+            out = tmp_path / name
+            assert main(["replay", "--data", str(tmp_path / f"{name}.csv"), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            results.append((out / "results.csv").read_bytes())
+        assert results[0] == results[1]
+        assert len(results[0].splitlines()) == 1 + 2 * 2 * 3
+
     def test_single_arm_rejected(self):
         with pytest.raises(DataFormatError):
             ReplayDataset(contexts=np.zeros((3, 1, 2)), rewards=np.zeros((3, 1)))
