@@ -1,12 +1,11 @@
 """Command-line entry points.
 
+Each command prints the paths it wrote, one per line.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
 """
 
 import argparse
-import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .runner import (
     run_diagnostics,
     run_replay,
     run_simulation,
+    write_csv,
     write_diagnostics_csv,
 )
 
@@ -34,66 +34,37 @@ EXIT_IO = 4
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bandit-lab", description=__doc__)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", required=True)
+    files.add_argument("--out", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="simulate configured policies and write results.csv")
-    run.add_argument("--config", required=True)
-    run.add_argument("--out", required=True)
+    run = sub.add_parser("run", parents=[files], help="simulate configured policies and write results.csv")
     run.add_argument("--charts", action="store_true", help="also write per-metric SVG charts")
-
-    replay = sub.add_parser("replay", help="score configured policies on a logged dataset")
+    replay = sub.add_parser("replay", parents=[files], help="score configured policies on a logged dataset")
     replay.add_argument("--data", required=True)
-    replay.add_argument("--config", required=True)
-    replay.add_argument("--out", required=True)
-
-    grad = sub.add_parser("gradtable", help="gradient norms at the closed-form coefficient")
-    grad.add_argument("--config", required=True)
-    grad.add_argument("--out", required=True)
-
-    diag = sub.add_parser("diagnose", help="spectral-norm concentration checkpoints")
-    diag.add_argument("--config", required=True)
-    diag.add_argument("--out", required=True)
+    sub.add_parser("gradtable", parents=[files], help="gradient norms at the closed-form coefficient")
+    sub.add_parser("diagnose", parents=[files], help="spectral-norm concentration checkpoints")
     return parser
 
 
-def _cmd_run(args) -> int:
-    cfg = load_run_config(args.config)
-    paths = emit_outputs(run_simulation(cfg), args.out, charts=args.charts)
-    for path in paths:
-        print(path)
-    return EXIT_OK
+def _cmd_run(args) -> list:
+    return emit_outputs(run_simulation(load_run_config(args.config)), args.out, charts=args.charts)
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> list:
     cfg = load_run_config(args.config)
     dataset = read_replay_csv(args.data)
-    records = run_replay(dataset, cfg.policies, cfg.seeds)
-    for path in emit_outputs(records, args.out):
-        print(path)
-    return EXIT_OK
+    return emit_outputs(run_replay(dataset, cfg.policies, cfg.seeds), args.out)
 
 
-def _cmd_gradtable(args) -> int:
+def _cmd_gradtable(args) -> list:
     rows = gradient_norm_table(**parse_table_config(read_json_object(args.config)))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["distribution", "l2_norm"])
-        for label, norm in rows:
-            writer.writerow([label, repr(norm)])
-    print(out)
-    return EXIT_OK
+    return [write_csv(args.out, ["distribution", "l2_norm"], rows)]
 
 
-def _cmd_diagnose(args) -> int:
-    cfg = load_run_config(args.config)
-    records = list(run_diagnostics(cfg))  # a run that fails writes nothing
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(out, records)
-    print(out)
-    return EXIT_OK
+def _cmd_diagnose(args) -> list:
+    records = list(run_diagnostics(load_run_config(args.config)))  # a run that fails writes nothing
+    return [write_diagnostics_csv(args.out, records)]
 
 
 _COMMANDS = {
@@ -111,7 +82,8 @@ def main(argv=None) -> int:
         # and reports with exit 2; numpy's overflow warnings would only
         # precede that message on stderr.
         with np.errstate(over="ignore"):
-            return _COMMANDS[args.command](args)
+            paths = _COMMANDS[args.command](args)
+        print(*paths, sep="\n", flush=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -121,6 +93,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import operator
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "run_diagnostics",
     "run_replay",
     "run_simulation",
+    "write_csv",
     "write_records_csv",
 ]
 
@@ -694,17 +696,10 @@ def read_replay_csv(path) -> ReplayDataset:
     return ReplayDataset(contexts=contexts, rewards=rewards)
 
 
-def write_replay_csv(path, dataset: ReplayDataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "arm_index"] + [f"context_{i}" for i in range(dataset.d)] + ["reward"])
-        for rid in range(dataset.rounds):
-            for arm in range(dataset.K):
-                writer.writerow(
-                    [rid, arm]
-                    + [repr(float(v)) for v in dataset.contexts[rid, arm]]
-                    + [repr(float(dataset.rewards[rid, arm]))]
-                )
+def write_replay_csv(path, dataset: ReplayDataset):
+    header = ["round", "arm_index"] + [f"context_{i}" for i in range(dataset.d)] + ["reward"]
+    rows = ([rid, arm, *dataset.contexts[rid, arm], dataset.rewards[rid, arm]] for rid, arm in np.ndindex(dataset.rewards.shape))
+    return write_csv(path, header, rows)
 
 
 def run_replay(dataset: ReplayDataset, policy_specs, seeds):
@@ -789,6 +784,17 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-2]  # without the empty field's ",\n"
 
 
+def write_csv(path, header, rows) -> Path:
+    """Write header and rows as CSV at path, creating its directory: strings as they are, other values by _format_value."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else _format_value(v) for v in row] for row in rows)
+    return path
+
+
 def write_records_csv(path, records) -> None:
     """Write records as results.csv, one formatted line per record.
 
@@ -841,29 +847,24 @@ def emit_outputs(records, output_dir, charts: bool = False) -> list:
     Returns the list of written paths. Chart series are seed-averaged per
     policy with a min/max band across seeds.
     """
-    from pathlib import Path
-
     records = list(records)
     if not records:
         raise ValueError("no records to emit")
     out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "results.csv"
-        write_records_csv(csv_path, records)
-        written = [csv_path]
-        if charts:
-            from .charts import write_line_chart_svg
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / "results.csv"
+    write_records_csv(csv_path, records)
+    written = [csv_path]
+    if charts:
+        from .charts import write_line_chart_svg
 
-            for metric, series in _chart_series(records).items():
-                if not series:
-                    continue
-                path = out / f"chart_{metric}.svg"
-                write_line_chart_svg(path, title=metric, series=series)
-                written.append(path)
-        return written
-    except OSError as exc:
-        raise OSError(f"cannot write outputs under {output_dir}: {exc}") from exc
+        for metric, series in _chart_series(records).items():
+            if not series:
+                continue
+            path = out / f"chart_{metric}.svg"
+            write_line_chart_svg(path, title=metric, series=series)
+            written.append(path)
+    return written
 
 
 def _chart_series(records) -> dict:
@@ -909,12 +910,5 @@ def _round_statistics(ts, values) -> tuple:
     return ts[starts].astype(float), mean, lo, hi
 
 
-def write_diagnostics_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DIAGNOSTICS_HEADER)
-        for rec in records:
-            writer.writerow(
-                [rec.t, rec.policy, rec.seed]
-                + [_format_value(v) for v in (rec.norm_n1, rec.norm_n2, rec.norm_n3)]
-            )
+def write_diagnostics_csv(path, records):
+    return write_csv(path, DIAGNOSTICS_HEADER, map(operator.attrgetter(*DIAGNOSTICS_HEADER), records))
