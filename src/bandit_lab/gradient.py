@@ -171,7 +171,8 @@ def _gradient_over_samples(theta, zs, theta_star, draw, cfg, rng):
     n, k_arms, d = zs.shape
     if theta.shape != (d,) or theta_star.shape != (d,):
         raise ValueError("theta and theta_star must match the feature dimension")
-    norm = float(np.linalg.norm(theta))
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected below without a RuntimeWarning
+        norm = float(np.linalg.norm(theta))
     if not math.isfinite(norm):  # e.g. a policy's estimate grown from rewards near 1e308
         raise ValueError(f"theta's norm {norm} is not finite")
     h = cfg.fd_step * (norm if norm > 0.0 else 1.0)

@@ -733,8 +733,10 @@ def run_diagnostics(cfg: RunConfig):
     covariance residual, N3 the reward-noise-weighted observed features.
     Spectral norms are logged at geometric checkpoints t in {1, 2, 4, ...}.
     Needs hidden features and a shared per-round noise draw, so it runs only
-    on identical-noise simulated environments.
+    on identical-noise simulated environments, and exactly one policy.
     """
+    if len(cfg.policies) != 1:
+        raise ConfigError(f"diagnostics track exactly one policy, but 'policies' names {len(cfg.policies)}")
     spec = cfg.policies[0]
     for seed in cfg.seeds:
         environment = environment_for_seed(cfg.env_spec, seed)

@@ -509,6 +509,20 @@ class TestDiagnoseCommand:
         assert "stopped at round" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_more_than_one_policy_exits_config_before_round_one(self, tmp_path, capsys, monkeypatch):
+        # Every policy after the first was dropped without a word, with exit 0.
+        sampled = []
+        sample_round = envmod.sample_round
+        monkeypatch.setattr(envmod, "sample_round", lambda *a, **k: sampled.append(a) or sample_round(*a, **k))
+        environment = json.loads(write_config(tmp_path / "cfg.json").read_text())["environment"]
+        environment["noise"]["mode"] = "identical"
+        cfg = write_config(tmp_path / "cfg.json", environment=environment, policies=["uniform", "linucb"])
+        out = tmp_path / "d.csv"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "'policies'" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+
 
 HUGE_MEAN = {"kind": "iid", "family": {"name": "gaussian", "mean": 1e308}}
 

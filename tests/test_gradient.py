@@ -118,6 +118,14 @@ class TestRegretGradient:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="theta's norm"):  # as the CLI runs
             regret_gradient(np.array(theta), z, np.array([0.6, -0.8]), np.eye(2), cfg, rng)
 
+    def test_overflowing_theta_norm_rejected_without_a_warning(self):
+        # Outside the CLI's errstate the norm's overflow printed a RuntimeWarning before the ValueError.
+        cfg = GradientConfig(mc_noise_samples=64)
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((3, 2))
+        with pytest.raises(ValueError, match="theta's norm inf is not finite"):
+            regret_gradient(np.array([1e307, 1e307]), z, np.array([0.6, -0.8]), np.eye(2), cfg, rng)
+
     def test_single_arm_gives_zero_gradient(self):
         cfg = GradientConfig(mc_noise_samples=128)
         rng = np.random.default_rng(7)
