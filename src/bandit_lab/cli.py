@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> list:
-    return emit_outputs(run_simulation(load_run_config(args.config)), args.out, charts=args.charts)
+    cfg = load_run_config(args.config)
+    return emit_outputs(run_simulation(cfg), args.out, charts=args.charts)
 
 
 def _cmd_replay(args) -> list:
@@ -63,7 +64,8 @@ def _cmd_gradtable(args) -> list:
 
 
 def _cmd_diagnose(args) -> list:
-    records = list(run_diagnostics(load_run_config(args.config)))  # a run that fails writes nothing
+    cfg = load_run_config(args.config)
+    records = list(run_diagnostics(cfg))  # a run that fails writes nothing
     return [write_diagnostics_csv(args.out, records)]
 
 

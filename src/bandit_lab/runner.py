@@ -696,7 +696,7 @@ def read_replay_csv(path) -> ReplayDataset:
     return ReplayDataset(contexts=contexts, rewards=rewards)
 
 
-def write_replay_csv(path, dataset: ReplayDataset):
+def write_replay_csv(path, dataset: ReplayDataset) -> Path:
     header = ["round", "arm_index"] + [f"context_{i}" for i in range(dataset.d)] + ["reward"]
     rows = ([rid, arm, *dataset.contexts[rid, arm], dataset.rewards[rid, arm]] for rid, arm in np.ndindex(dataset.rewards.shape))
     return write_csv(path, header, rows)
@@ -912,5 +912,5 @@ def _round_statistics(ts, values) -> tuple:
     return ts[starts].astype(float), mean, lo, hi
 
 
-def write_diagnostics_csv(path, records):
+def write_diagnostics_csv(path, records) -> Path:
     return write_csv(path, DIAGNOSTICS_HEADER, map(operator.attrgetter(*DIAGNOSTICS_HEADER), records))
