@@ -23,6 +23,7 @@ from bandit_lab.runner import (
     RunRecord,
     _chart_series,
     _cosine_distance,
+    build_policy,
     emit_outputs,
     environment_for_seed,
     parse_run_config,
@@ -152,6 +153,16 @@ class TestConfigParsing:
         ctx = PolicyContext(d=2, K=3, T=10, noise_cov=np.eye(2), rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
             build_policy(PolicySpec(name="oracle_tc"), ctx)
+
+    @pytest.mark.parametrize("name", sorted(POLICY_BUILDERS))
+    def test_only_hidden_quantity_policies_need_a_simulated_environment(self, name):
+        ctx = PolicyContext(d=2, K=3, T=10, noise_cov=np.eye(2), rng=np.random.default_rng(0))
+        spec = PolicySpec(name=name, params={"arms": [0]} if name == "scripted" else {})
+        if name in {"oracle_tc", "oracle_cf"}:
+            with pytest.raises(ConfigError, match=f"policy {name!r} needs a simulated environment"):
+                build_policy(spec, ctx)
+        else:
+            assert build_policy(spec, ctx).name == name
 
 
 class TestRunSimulation:
