@@ -331,9 +331,10 @@ def _parse_policy_specs(raw) -> tuple:
     for item in raw:
         item = _object("policy spec", {"name": item} if isinstance(item, str) else item, ("name", "params", "label"))
         name = _string("name", item.get("name"))
-        if name not in POLICY_BUILDERS:
+        entry = POLICIES.get(name)
+        if entry is None:
             raise ConfigError(f"unknown policy {name!r}")
-        readers = POLICY_PARAMS.get(name, {})
+        readers = entry.get("params", {})
         params = _object(f"params of policy {name!r}", item.get("params", {}), readers)
         params = {key: readers[key](key, value) for key, value in params.items()}
         specs.append(PolicySpec(name=name, params=params, label=_string("label", item.get("label", ""))))
@@ -394,26 +395,6 @@ class PolicyContext:
     feature_dist: envmod.FeatureDistribution | None = None
 
 
-def _feature_sampler(ctx: PolicyContext):
-    return None if ctx.feature_dist is None else arm_set_sampler(ctx.feature_dist, ctx.K, ctx.d)
-
-
-def _require_theta_star(ctx: PolicyContext, name: str) -> np.ndarray:
-    if ctx.theta_star is None:
-        raise ConfigError(f"policy {name!r} needs a simulated environment")
-    return ctx.theta_star
-
-
-def _build_oracle_cf(ctx: PolicyContext, p: dict) -> polmod.FixedCoefficient:
-    theta_star = _require_theta_star(ctx, "oracle_cf")
-    if ctx.feature_dist is None:
-        raise ConfigError("policy 'oracle_cf' needs a feature distribution")
-    theta_bar = polmod.bayes_optimal_theta(
-        ctx.feature_dist.covariance_matrix(ctx.d), ctx.noise_cov, theta_star
-    )
-    return polmod.FixedCoefficient(theta_bar, name="oracle_cf")
-
-
 def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
     policy = polmod.ScriptedPolicy(**p)
     out_of_range = [arm for arm in policy.arms if not 0 <= arm < ctx.K]
@@ -422,58 +403,57 @@ def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
     return policy
 
 
-def _check_log_covariance(ctx: PolicyContext, name: str, check) -> None:
-    try:  # a configured noise covariance was checked when parsed, so only a replay log's can fail
-        check(ctx.noise_cov)
-    except ValueError as exc:
-        raise ConfigError(f"policy {name!r} cannot use the replay log's noise covariance: {exc}") from exc
-
-
-def _build_noisy_linrel(ctx: PolicyContext, p: dict) -> polmod.NoisyLinRel:
-    _check_log_covariance(ctx, "noisy_linrel", sym_matrix)  # finite; a constant column's zero variance is usable
-    return polmod.NoisyLinRel(ctx.d, **p)
-
-
 def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradientLinRel:
-    _check_log_covariance(ctx, "gradient_linrel", gaussian_sampler)  # also positive-definite, to draw from
-    policy = polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=_feature_sampler(ctx), **p)
+    feature_sampler = None if ctx.feature_dist is None else arm_set_sampler(ctx.feature_dist, ctx.K, ctx.d)
+    policy = polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=feature_sampler, **p)
     s = policy.grad_cfg.mc_noise_samples
     _fit_in_memory(NOISE_ENTRY_BYTES * s * ctx.K * ctx.d, f"'mc_samples' makes {s} noise draws x {ctx.K} arms x d = {ctx.d} per feature set")
     return policy
 
 
-POLICY_BUILDERS = {
-    "uniform": lambda ctx, p: polmod.UniformRandom(),
-    "scripted": _build_scripted,
-    "noisy_linrel": _build_noisy_linrel,
-    "greedy": lambda ctx, p: polmod.ExploreThenCommitGreedy(ctx.d, ctx.T, **p),
-    "linucb": lambda ctx, p: polmod.LinUCB(ctx.d, **p),
-    "gradient_linrel": _build_gradient_linrel,
-    "oracle_tc": lambda ctx, p: polmod.FixedCoefficient(
-        _require_theta_star(ctx, "oracle_tc"), name="oracle_tc"
+# Each policy's entry: ``build(ctx, params)``; ``params``, the keywords it
+# passes to its policy's constructor (which holds their defaults), each with
+# the reader of its JSON type, parsing rejecting any other key; ``hidden``,
+# set when it plays a hidden quantity and so needs a simulated environment;
+# and ``noise``, the check that a replay log's noise covariance must pass.
+POLICIES = {
+    "uniform": dict(build=lambda ctx, p: polmod.UniformRandom()),
+    "scripted": dict(build=_build_scripted, params={"arms": _integers}),
+    "noisy_linrel": dict(
+        build=lambda ctx, p: polmod.NoisyLinRel(ctx.d, **p),
+        params={"alpha_exponent": _number},
+        noise=sym_matrix,  # finite; a constant column's zero variance is usable
     ),
-    "oracle_cf": _build_oracle_cf,
-}
-
-# The keyword params each builder passes to its policy's constructor, which
-# holds their defaults, each with the reader of its JSON type; parsing
-# rejects any other key.
-POLICY_PARAMS = {
-    "scripted": {"arms": _integers},
-    "noisy_linrel": {"alpha_exponent": _number},
-    "greedy": {"tau": _integer},
-    "linucb": {"ucb_alpha": _number},
-    "gradient_linrel": {"alpha_exponent": _number, "step_size": _number, "ucb_coeff": _number, "mc_samples": _integer, "fd_step": _number},
+    "greedy": dict(build=lambda ctx, p: polmod.ExploreThenCommitGreedy(ctx.d, ctx.T, **p), params={"tau": _integer}),
+    "linucb": dict(build=lambda ctx, p: polmod.LinUCB(ctx.d, **p), params={"ucb_alpha": _number}),
+    "gradient_linrel": dict(
+        build=_build_gradient_linrel,
+        params={"alpha_exponent": _number, "step_size": _number, "ucb_coeff": _number, "mc_samples": _integer, "fd_step": _number},
+        noise=gaussian_sampler,  # also positive-definite, to draw from
+    ),
+    "oracle_tc": dict(build=lambda ctx, p: polmod.FixedCoefficient(ctx.theta_star, name="oracle_tc"), hidden=True),
+    "oracle_cf": dict(
+        build=lambda ctx, p: polmod.FixedCoefficient(
+            polmod.bayes_optimal_theta(ctx.feature_dist.covariance_matrix(ctx.d), ctx.noise_cov, ctx.theta_star), name="oracle_cf"
+        ),
+        hidden=True,
+    ),
 }
 
 
 def build_policy(spec: PolicySpec, ctx: PolicyContext) -> polmod.Policy:
+    entry = POLICIES.get(spec.name)
+    if entry is None:
+        raise ConfigError(f"unknown policy {spec.name!r}")
+    if entry.get("hidden") and (ctx.theta_star is None or ctx.feature_dist is None):
+        raise ConfigError(f"policy {spec.name!r} needs a simulated environment")
+    if "noise" in entry:
+        try:  # a configured noise covariance was checked when parsed, so only a replay log's can fail
+            entry["noise"](ctx.noise_cov)
+        except ValueError as exc:
+            raise ConfigError(f"policy {spec.name!r} cannot use the replay log's noise covariance: {exc}") from exc
     try:
-        builder = POLICY_BUILDERS[spec.name]
-    except KeyError:
-        raise ConfigError(f"unknown policy {spec.name!r}") from None
-    try:
-        return builder(ctx, dict(spec.params))
+        return entry["build"](ctx, dict(spec.params))
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise

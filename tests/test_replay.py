@@ -210,14 +210,14 @@ class TestRunReplay:
             def observe(self, t, arm, x_arm, y, noise_cov):
                 observed.append((t, arm, float(y)))
 
-        from bandit_lab.runner import POLICY_BUILDERS
+        from bandit_lab.runner import POLICIES
 
-        POLICY_BUILDERS["_spy"] = lambda ctx, p: SpyPolicy()
+        POLICIES["_spy"] = dict(build=lambda ctx, p: SpyPolicy())
         try:
             dataset = hand_dataset()
             list(run_replay(dataset, [PolicySpec(name="_spy")], seeds=[0]))
         finally:
-            del POLICY_BUILDERS["_spy"]
+            del POLICIES["_spy"]
         # one observation per round, always the chosen arm's reward
         assert observed == [(1, 0, 1.0), (2, 0, 0.3), (3, 0, 0.5)]
 

@@ -14,8 +14,7 @@ from bandit_lab.env import LANE_REWARD, bar_theta_arm, sample_round
 from bandit_lab.linalg import spectral_norm
 from bandit_lab.policies import bayes_optimal_theta
 from bandit_lab.runner import (
-    POLICY_BUILDERS,
-    POLICY_PARAMS,
+    POLICIES,
     ConfigError,
     PolicyContext,
     PolicySpec,
@@ -102,7 +101,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             make_config(policies=({"name": "linucb", "params": [0.5]},))
 
-    @pytest.mark.parametrize("name", sorted(POLICY_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_declared_params_are_the_keys_the_builder_reads(self, name):
         # Builders pass the checked params to the constructor as **params, so
         # the declared keys must be exactly its keywords that the run context
@@ -117,10 +116,10 @@ class TestConfigParsing:
             theta_star=env.theta_star,
             feature_dist=env.feature_dist,
         )
-        policy = POLICY_BUILDERS[name](ctx, {"arms": [0]} if name == "scripted" else {})
+        policy = POLICIES[name]["build"](ctx, {"arms": [0]} if name == "scripted" else {})
         from_context = {"d", "horizon", "noise_cov", "rng", "feature_sampler", "theta", "name"}
         keywords = set(inspect.signature(type(policy)).parameters) - from_context
-        assert keywords == set(POLICY_PARAMS.get(name, ()))
+        assert keywords == set(POLICIES[name].get("params", ()))
 
     def test_readme_names_exactly_the_declared_params(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -131,7 +130,7 @@ class TestConfigParsing:
             names = re.findall(r"`([^`]+)`", clause)
             if names:
                 listed[names[0]] = tuple(names[1:])
-        assert listed == {name: tuple(params) for name, params in POLICY_PARAMS.items()}
+        assert listed == {name: tuple(entry["params"]) for name, entry in POLICIES.items() if "params" in entry}
 
     def test_readme_json_examples_parse(self):
         # Every config object takes only its listed keys, so an example that drifts from the readers fails here.
@@ -154,7 +153,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_policy(PolicySpec(name="oracle_tc"), ctx)
 
-    @pytest.mark.parametrize("name", sorted(POLICY_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_only_hidden_quantity_policies_need_a_simulated_environment(self, name):
         ctx = PolicyContext(d=2, K=3, T=10, noise_cov=np.eye(2), rng=np.random.default_rng(0))
         spec = PolicySpec(name=name, params={"arms": [0]} if name == "scripted" else {})
@@ -282,7 +281,7 @@ class TestRunSimulation:
             ),
             T=12,
         )
-        assert {spec.name for spec in cfg.policies} == set(POLICY_BUILDERS)
+        assert {spec.name for spec in cfg.policies} == set(POLICIES)
         records = list(run_simulation(cfg))
         assert len(records) == 8 * 12
 
