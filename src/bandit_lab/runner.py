@@ -64,6 +64,11 @@ RECORD_BYTES = 334
 # resident feature set. tracemalloc peaks of one regret_gradient call at
 # 10^5-2*10^5 draws were 2.3 (K=5, d=10) to 4.1 (K=2, d=1) times 8 bytes.
 NOISE_ENTRY_BYTES = 40
+# Score entries (feature sets x noise draws x K x d) a gradient table may
+# evaluate per distribution. perfbench's gradtable workload evaluates about
+# 1100-1300 feature sets of 25000 entries a reference second, ~3e7 entries,
+# so this is 8-10 hours.
+MAX_TABLE_ENTRIES = 10**12
 
 
 class ConfigError(ValueError):
@@ -310,6 +315,10 @@ def parse_table_config(doc: dict) -> dict:
     _fit_in_memory(NOISE_ENTRY_BYTES * mc_noise_samples * k_arms * d,
                    f"'mc_noise_samples' = {mc_noise_samples} noise draws x {k_arms} arms x d = {d} per feature set")
     feature_samples = _integer("feature_samples", doc.get("feature_samples", 10_000), minimum=1)
+    entries = feature_samples * mc_noise_samples * k_arms * d
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"'feature_samples' = {feature_samples} feature sets x 'mc_noise_samples' = {mc_noise_samples} draws x {k_arms} arms "
+                          f"x d = {d} make {entries} score entries per distribution, more than the {MAX_TABLE_ENTRIES} a table may take")
     fd_step = _number("fd_step", doc.get("fd_step", 1e-2))
     try:
         cfg = GradientConfig(mc_noise_samples, fd_step, feature_samples)
@@ -626,12 +635,13 @@ class ReplayDataset:
         return np.diag(0.1 * flat.var(axis=0))
 
 
-def read_replay_csv(path) -> ReplayDataset:
-    """Parse the replay CSV format.
+def _read_csv(path, header_ok, read_row) -> list:
+    """(read_row(row), line number) for each non-blank data row of a UTF-8 CSV file.
 
-    Header: round,arm_index,context_0..context_{d-1},reward with K
-    consecutive rows per round id and arm_index counting 0..K-1. Malformed
-    rows raise DataFormatError with the offending line number.
+    Every row must hold as many fields as the header, which header_ok
+    accepts. A fault of the file, its header, a row's field count or a
+    row's values (read_row's ValueError) raises DataFormatError naming the
+    file and, where it is known, the line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -639,28 +649,43 @@ def read_replay_csv(path) -> ReplayDataset:
             header = next(reader, None)
             if header is None:
                 raise DataFormatError(f"{path}: empty file (line 1)")
-            d = len(header) - 3
-            if d < 1 or header[:2] != ["round", "arm_index"] or header[-1] != "reward" or header[2:-1] != [f"context_{i}" for i in range(d)]:
+            if not header_ok(header):
                 raise DataFormatError(f"{path}: bad header (line 1): {','.join(header)}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != d + 3:
-                    raise DataFormatError(f"{path}: expected {d + 3} fields, got {len(row)} (line {lineno})")
+                if len(row) != len(header):
+                    raise DataFormatError(f"{path}: expected {len(header)} fields, got {len(row)} (line {lineno})")
                 try:
-                    rows.append((int(row[0]), int(row[1]), [float(v) for v in row[2:]], lineno))
+                    rows.append((read_row(row), lineno))
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: {exc} (line {lineno})") from exc
         except UnicodeDecodeError as exc:  # the text is decoded a block at a time, so the line is not known
             raise DataFormatError(f"{path}: {exc}") from exc
         except csv.Error as exc:  # e.g. a field beyond csv's size limit
             raise DataFormatError(f"{path}: {exc} (line {reader.line_num})") from exc
+    return rows
+
+
+def _is_replay_header(header) -> bool:
+    d = len(header) - 3
+    return d >= 1 and header[:2] == ["round", "arm_index"] and header[-1] == "reward" and header[2:-1] == [f"context_{i}" for i in range(d)]
+
+
+def read_replay_csv(path) -> ReplayDataset:
+    """Parse the replay CSV format.
+
+    Header: round,arm_index,context_0..context_{d-1},reward with K
+    consecutive rows per round id and arm_index counting 0..K-1. Malformed
+    rows raise DataFormatError with the offending line number.
+    """
+    rows = _read_csv(path, _is_replay_header, lambda row: (int(row[0]), int(row[1]), [float(v) for v in row[2:]]))
     if not rows:
         raise DataFormatError(f"{path}: no data rows (line 2)")
 
     groups: list[list] = []
-    for rid, arm, values, lineno in rows:
+    for (rid, arm, values), lineno in rows:
         if not groups or groups[-1][0] != rid:
             groups.append([rid, []])
         expected = len(groups[-1][1])
@@ -798,54 +823,45 @@ def write_records_csv(path, records) -> None:
             )
 
 
+def _read_record(row) -> RunRecord:
+    optional = [float(v) if v else None for v in row[7:]]
+    return RunRecord(int(row[0]), row[1], int(row[2]), int(row[3]), float(row[4]), float(row[5]), float(row[6]), *optional)
+
+
 def read_records_csv(path) -> list[RunRecord]:
-    """Inverse of write_records_csv; empty fields come back as None."""
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != RESULTS_HEADER:
-            raise DataFormatError(f"{path}: unexpected results header")
-        for row in reader:
-            out.append(
-                RunRecord(
-                    t=int(row[0]),
-                    policy=row[1],
-                    seed=int(row[2]),
-                    arm=int(row[3]),
-                    reward=float(row[4]),
-                    inst_regret=float(row[5]),
-                    cum_regret=float(row[6]),
-                    rel_regret=float(row[7]) if row[7] else None,
-                    cos_dist=float(row[8]) if row[8] else None,
-                )
-            )
-    return out
+    """Inverse of write_records_csv; empty fields come back as None. A malformed file raises DataFormatError naming its line."""
+    rows = _read_csv(path, lambda header: header == RESULTS_HEADER, _read_record)
+    return [record for record, _ in rows]
 
 
 def emit_outputs(records, output_dir, charts: bool = False) -> list:
     """Write results.csv (and optional SVG charts) under output_dir.
 
     Returns the list of written paths. Chart series are seed-averaged per
-    policy with a min/max band across seeds.
+    policy with a min/max band across seeds. If any write fails, the files
+    this call created are removed again; files that were there before stay.
     """
     records = list(records)
     if not records:
         raise ValueError("no records to emit")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "results.csv"
-    write_records_csv(csv_path, records)
-    written = [csv_path]
-    if charts:
-        from .charts import write_line_chart_svg
+    existed = set(out.iterdir())
+    written = []  # each path is listed before its file is written, so a failed write's new file is removed too
+    try:
+        written.append(out / "results.csv")
+        write_records_csv(written[-1], records)
+        if charts:
+            from .charts import write_line_chart_svg
 
-        for metric, series in _chart_series(records).items():
-            if not series:
-                continue
-            path = out / f"chart_{metric}.svg"
-            write_line_chart_svg(path, title=metric, series=series)
-            written.append(path)
+            for metric, series in _chart_series(records).items():
+                if series:
+                    written.append(out / f"chart_{metric}.svg")
+                    write_line_chart_svg(written[-1], title=metric, series=series)
+    except BaseException:
+        for path in set(written) - existed:
+            path.unlink(missing_ok=True)
+        raise
     return written
 
 

@@ -322,6 +322,18 @@ class TestRunCommand:
         blocker.write_text("file, not dir")
         assert main(["run", "--config", str(cfg), "--out", str(blocker / "sub")]) == EXIT_IO
 
+    @pytest.mark.parametrize("earlier_results", [False, True], ids=["fresh", "earlier-results"])
+    def test_failed_chart_write_removes_the_files_it_created(self, tmp_path, capsys, earlier_results):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        (out / "chart_rel_regret.svg").mkdir(parents=True)  # the second chart cannot be written
+        if earlier_results:
+            (out / "results.csv").write_text("an earlier run's results\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--charts"]) == EXIT_IO
+        assert capsys.readouterr().out == ""
+        left = sorted(path.name for path in out.iterdir())
+        assert left == (["chart_rel_regret.svg", "results.csv"] if earlier_results else ["chart_rel_regret.svg"])
+
 
 class TestReplayCommand:
     def test_replay_runs(self, tmp_path):
@@ -434,6 +446,7 @@ class TestGradtableCommand:
             ({"K": 10**12}, "'K' = 1000000000000 arms"),
             ({"fd_step": 0}, "'fd_step' must be positive"),
             ({"feature_samples": 0}, "'feature_samples' must be at least 1"),
+            ({"feature_samples": 10**15, "mc_noise_samples": 10, "K": 2, "d": 2}, "'feature_samples' = 1000000000000000 feature sets x 'mc_noise_samples' = 10"),
         ],
         ids=[
             "d-string",
@@ -447,6 +460,7 @@ class TestGradtableCommand:
             "K-beyond-memory",
             "zero-fd-step",
             "no-feature-samples",
+            "feature-samples-beyond-the-work-bound",
         ],
     )
     def test_bad_table_config_exits_config(self, tmp_path, capsys, field, message):

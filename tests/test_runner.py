@@ -1,7 +1,9 @@
 import csv
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 import re
 from pathlib import Path
 
@@ -9,13 +11,16 @@ import numpy as np
 import pytest
 from test_golden import ALL_POLICIES, IDENTICAL_ENV, PER_ARM_ENV
 
+import bandit_lab
 from bandit_lab import env as envmod
 from bandit_lab.env import LANE_REWARD, bar_theta_arm, sample_round
 from bandit_lab.linalg import spectral_norm
 from bandit_lab.policies import bayes_optimal_theta
 from bandit_lab.runner import (
     POLICIES,
+    RESULTS_HEADER,
     ConfigError,
+    DataFormatError,
     PolicyContext,
     PolicySpec,
     RunConfig,
@@ -138,6 +143,21 @@ class TestConfigParsing:
         run_doc, table_doc = (json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.DOTALL))
         assert [spec.name for spec in parse_run_config(run_doc).policies] == ["noisy_linrel", "linucb", "gradient_linrel"]
         assert parse_table_config(table_doc)["cfg"].feature_samples == 10_000
+
+    def test_readme_library_imports_resolve(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        namespace = {}
+        exec(block, namespace)
+        assert {"run_simulation", "run_replay", "run_diagnostics", "gradient_norm_table"} <= set(namespace)
+
+    def test_every_exported_name_resolves(self):
+        modules = [importlib.import_module(f"bandit_lab.{info.name}") for info in pkgutil.iter_modules(bandit_lab.__path__)]
+        exporting = [module for module in modules if hasattr(module, "__all__")]
+        assert {module.__name__ for module in exporting} >= {f"bandit_lab.{name}" for name in ("env", "gradient", "linalg", "policies", "runner")}
+        for module in exporting:
+            assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
+            assert len(set(module.__all__)) == len(module.__all__), module.__name__
 
     def test_random_theta_star_per_seed(self):
         a = environment_for_seed(base_env_spec(theta_star="random"), 0)
@@ -352,6 +372,27 @@ class TestEmitOutputs:
         path = tmp_path / "results.csv"
         write_records_csv(path, records)
         assert read_records_csv(path) == records
+
+    def test_header_only_results_read_as_no_records(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_records_csv(path, [])
+        assert read_records_csv(path) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"empty file \(line 1\)"),
+            ("t,policy,seed\n", r"bad header \(line 1\): t,policy,seed"),
+            (",".join(RESULTS_HEADER) + "\n1,uniform,0,2,0.5\n", r"expected 9 fields, got 5 \(line 2\)"),
+            (",".join(RESULTS_HEADER) + "\n1,uniform,0,2,0.5,0.1,0.1,,\n2,uniform,0,1,x,0.1,0.2,,\n", r"'x' \(line 3\)"),
+        ],
+        ids=["empty", "wrong-header", "short-row", "bad-number"],
+    )
+    def test_malformed_results_raise_data_format_error_naming_the_line(self, tmp_path, text, message):
+        path = tmp_path / "results.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(str(path)) + ": .*" + message):
+            read_records_csv(path)
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = make_config(policies=("noisy_linrel", "uniform"), seeds=(0, 1), T=30)
