@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import os
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -65,9 +66,11 @@ RECORD_BYTES = 334
 # 10^5-2*10^5 draws were 2.3 (K=5, d=10) to 4.1 (K=2, d=1) times 8 bytes.
 NOISE_ENTRY_BYTES = 40
 # Score entries (feature sets x noise draws x K x d) a gradient table may
-# evaluate per distribution. perfbench's gradtable workload evaluates about
-# 1100-1300 feature sets of 25000 entries a reference second, ~3e7 entries,
-# so this is 8-10 hours.
+# evaluate per distribution, and a run's gradient_linrel over all its rounds
+# and seeds. perfbench's gradtable workload evaluates about 1100-1300 feature
+# sets of 25000 entries a reference second, ~3e7 entries, so this is 8-10
+# hours; its sim_gradient workload plays ~740 rounds of 25000, ~1.8e7
+# entries, a reference second, so 15 hours of a run.
 MAX_TABLE_ENTRIES = 10**12
 
 
@@ -402,6 +405,7 @@ class PolicyContext:
     rng: np.random.Generator
     theta_star: np.ndarray | None = None
     feature_dist: envmod.FeatureDistribution | None = None
+    seeds: int = 1  # the run's seeds, each played for T rounds
 
 
 def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
@@ -417,6 +421,11 @@ def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradient
     policy = polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=feature_sampler, **p)
     s = policy.grad_cfg.mc_noise_samples
     _fit_in_memory(NOISE_ENTRY_BYTES * s * ctx.K * ctx.d, f"'mc_samples' makes {s} noise draws x {ctx.K} arms x d = {ctx.d} per feature set")
+    draws = policy.feature_sets * s  # a round's draws over its feature sets: mc_samples
+    entries = ctx.T * ctx.seeds * draws * ctx.K * ctx.d
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"'T' = {ctx.T} rounds x {ctx.seeds} seeds x 'mc_samples' = {draws} draws x {ctx.K} arms x d = {ctx.d} "
+                          f"make {entries} score entries, more than the {MAX_TABLE_ENTRIES} a run may take")
     return policy
 
 
@@ -514,7 +523,7 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
             yield i, policy, info, arm, y
 
 
-def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig):
+def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig, seeds: int):
     """_play on a simulated environment; its info is (RoundContext, reward noise).
 
     Each round's contexts and reward noise are drawn once, and every
@@ -527,6 +536,7 @@ def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig):
         noise_cov=environment.noise.covariance,
         theta_star=environment.theta_star,
         feature_dist=environment.feature_dist,
+        seeds=seeds,
     )
     contexts = (envmod.sample_round(environment, t) for t in range(1, environment.T + 1))
     rounds = ((c.t, c.x, (c, envmod.reward_noise(environment, c.t))) for c in contexts)
@@ -582,7 +592,7 @@ def run_simulation(cfg: RunConfig):
             theta_star,
         )
         theta_star_norm = float(np.linalg.norm(theta_star))
-        for i, policy, (round_ctx, _), arm, y in _play_environment(cfg.policies, seed, environment):
+        for i, policy, (round_ctx, _), arm, y in _play_environment(cfg.policies, seed, environment, len(cfg.seeds)):
             if i == 0:  # the first turn of a round
                 values = round_ctx.z @ theta_star
                 best = values.max()
@@ -635,13 +645,13 @@ class ReplayDataset:
         return np.diag(0.1 * flat.var(axis=0))
 
 
-def _read_csv(path, header_ok, read_row) -> list:
-    """(read_row(row), line number) for each non-blank data row of a UTF-8 CSV file.
+def _read_csv(path, header_ok, read_row):
+    """Yield (read_row(row), line number) for each non-blank data row of a UTF-8 CSV file, as the file is read.
 
     Every row must hold as many fields as the header, which header_ok
     accepts. A fault of the file, its header, a row's field count or a
     row's values (read_row's ValueError) raises DataFormatError naming the
-    file and, where it is known, the line.
+    file and, where it is known, the line, when the reader reaches it.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -651,21 +661,20 @@ def _read_csv(path, header_ok, read_row) -> list:
                 raise DataFormatError(f"{path}: empty file (line 1)")
             if not header_ok(header):
                 raise DataFormatError(f"{path}: bad header (line 1): {','.join(header)}")
-            rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise DataFormatError(f"{path}: expected {len(header)} fields, got {len(row)} (line {lineno})")
                 try:
-                    rows.append((read_row(row), lineno))
+                    value = read_row(row)
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: {exc} (line {lineno})") from exc
+                yield value, lineno
         except UnicodeDecodeError as exc:  # the text is decoded a block at a time, so the line is not known
             raise DataFormatError(f"{path}: {exc}") from exc
         except csv.Error as exc:  # e.g. a field beyond csv's size limit
             raise DataFormatError(f"{path}: {exc} (line {reader.line_num})") from exc
-    return rows
 
 
 def _is_replay_header(header) -> bool:
@@ -673,32 +682,40 @@ def _is_replay_header(header) -> bool:
     return d >= 1 and header[:2] == ["round", "arm_index"] and header[-1] == "reward" and header[2:-1] == [f"context_{i}" for i in range(d)]
 
 
+def _round_arms(path, rid, arms: int, k_arms: int) -> int:
+    """The log's arms per round once round rid has ended with arms rows: the first round's count, which every later round must match."""
+    if k_arms and arms != k_arms:
+        raise DataFormatError(f"{path}: round {rid} has {arms} arms, expected {k_arms}")
+    return arms
+
+
 def read_replay_csv(path) -> ReplayDataset:
     """Parse the replay CSV format.
 
     Header: round,arm_index,context_0..context_{d-1},reward with K
-    consecutive rows per round id and arm_index counting 0..K-1. Malformed
-    rows raise DataFormatError with the offending line number.
+    consecutive rows per round id and arm_index counting 0..K-1. The rows
+    are checked as they are read, and their numbers go straight into two
+    float64 buffers that become the dataset's arrays, so reading holds
+    little more than the table itself. Malformed rows raise
+    DataFormatError with the offending line number.
     """
-    rows = _read_csv(path, _is_replay_header, lambda row: (int(row[0]), int(row[1]), [float(v) for v in row[2:]]))
-    if not rows:
+    contexts, rewards = array("d"), array("d")
+    rid, arms, k_arms = None, 0, 0  # the current round's id and rows so far; arms per round, 0 until the first round ends
+    rows = _read_csv(path, _is_replay_header, lambda row: (int(row[0]), int(row[1]), [_finite_number(v) for v in row[2:]]))
+    for (row_rid, arm, values), lineno in rows:
+        if row_rid != rid:
+            k_arms = _round_arms(path, rid, arms, k_arms)
+            rid, arms = row_rid, 0
+        if arm != arms:
+            raise DataFormatError(f"{path}: expected arm_index {arms} for round {rid} (line {lineno})")
+        arms += 1
+        rewards.append(values.pop())
+        contexts.extend(values)
+    if rid is None:
         raise DataFormatError(f"{path}: no data rows (line 2)")
-
-    groups: list[list] = []
-    for (rid, arm, values), lineno in rows:
-        if not groups or groups[-1][0] != rid:
-            groups.append([rid, []])
-        expected = len(groups[-1][1])
-        if arm != expected:
-            raise DataFormatError(f"{path}: expected arm_index {expected} for round {rid} (line {lineno})")
-        groups[-1][1].append(values)
-    k_arms = len(groups[0][1])
-    for rid, arm_rows in groups:
-        if len(arm_rows) != k_arms:
-            raise DataFormatError(f"{path}: round {rid} has {len(arm_rows)} arms, expected {k_arms}")
-    contexts = np.array([[r[:-1] for r in arm_rows] for _, arm_rows in groups])
-    rewards = np.array([[r[-1] for r in arm_rows] for _, arm_rows in groups])
-    return ReplayDataset(contexts=contexts, rewards=rewards)
+    k_arms = _round_arms(path, rid, arms, k_arms)
+    d = len(contexts) // len(rewards)
+    return ReplayDataset(contexts=np.frombuffer(contexts).reshape(-1, k_arms, d), rewards=np.frombuffer(rewards).reshape(-1, k_arms))
 
 
 def write_replay_csv(path, dataset: ReplayDataset) -> Path:
@@ -714,11 +731,11 @@ def run_replay(dataset: ReplayDataset, policy_specs, seeds):
     they pick; regret is measured against the per-round maximum reward.
     """
     specs = tuple(policy_specs)
-    ctx_fields = dict(d=dataset.d, K=dataset.K, T=dataset.rounds, noise_cov=dataset.noise_covariance())
-    rounds = [(idx + 1, x, idx) for idx, x in enumerate(dataset.contexts)]
+    ctx_fields = dict(d=dataset.d, K=dataset.K, T=dataset.rounds, noise_cov=dataset.noise_covariance(), seeds=len(seeds))
     row_best = dataset.rewards.max(axis=1)
 
     def steps(seed):
+        rounds = ((idx + 1, x, idx) for idx, x in enumerate(dataset.contexts))
         # rewards.item(idx, arm) is the logged reward as a Python float
         for i, _, idx, arm, y in _play(specs, seed, ctx_fields, rounds, dataset.rewards.item):
             yield i, idx + 1, arm, y, float(row_best[idx] - y), None, None
@@ -753,7 +770,7 @@ def run_diagnostics(cfg: RunConfig):
         sums = np.zeros(2 * d * d + d)  # n1, n2 and n3 in one buffer, so one pass checks them all
         n1, n2, n3 = sums[: d * d].reshape(d, d), sums[d * d : 2 * d * d].reshape(d, d), sums[2 * d * d :]
         checkpoint = 1
-        for _, _, (round_ctx, _), arm, y in _play_environment((spec,), seed, environment):
+        for _, _, (round_ctx, _), arm, y in _play_environment((spec,), seed, environment, len(cfg.seeds)):
             eps = round_ctx.eps[0]
             n1 += round_ctx.z[arm][:, None] * eps  # np.outer's product without its wrapper
             n2 += eps[:, None] * eps - noise_cov

@@ -620,6 +620,18 @@ MVN = "multivariate_gaussian"
         # Monte-Carlo draws of one feature set too large to hold, each an array-allocation traceback before.
         ("gradtable", ("mc_noise_samples",), 10**12, "'mc_noise_samples'"),
         ("run", ("policies", 0), {"name": "gradient_linrel", "params": {"mc_samples": 10**12}}, "'mc_samples'"),
+        # gradient_linrel's score entries over all rounds and seeds beyond the work bound: 5e12 of them, which
+        # played until killed before. The empty path sets several top-level keys at once.
+        (
+            "run",
+            (),
+            {
+                "environment": {"K": 5, "d": 10, "T": 10**6},
+                "policies": [{"name": "gradient_linrel", "params": {"mc_samples": 10**5}}],
+                "seeds": [0],
+            },
+            "'T' = 1000000 rounds x 1 seeds x 'mc_samples' = 100000 draws",
+        ),
         # A family's missing or unknown parameter.
         ("run", ("environment", "feature_distribution", "family"), {"name": "uniform", "low": -1.0}, "'high'"),
         ("run", ("environment", "feature_distribution", "family"), {"name": "mixture", "weight": 0.3, "first": {"name": "gaussian"}}, "'second'"),
@@ -660,6 +672,7 @@ MVN = "multivariate_gaussian"
         "integer-beyond-a-double",
         "gradtable-mc-beyond-memory",
         "gradient_linrel-mc-beyond-memory",
+        "gradient_linrel-work-beyond-the-bound",
         "uniform-without-high",
         "mixture-without-second",
         "exponential-with-scale",
@@ -680,10 +693,13 @@ def test_rejected_value_exits_config_naming_the_key(tmp_path, capsys, command, p
         doc = json.loads(write_config(tmp_path / "cfg.json").read_text())
     else:
         doc = {"distributions": ["gaussian"], "d": 2, "feature_samples": 2, "mc_noise_samples": 2}
-    target = doc
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
+    if not path:
+        doc.update(value)
+    else:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"

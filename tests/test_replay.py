@@ -1,4 +1,6 @@
+import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,11 +52,39 @@ def dataset_text():
 
 class TestReplayCsv:
     def test_round_trip(self, tmp_path):
+        # Besides the hand values: the smallest subnormal, a signed zero, a
+        # near-overflow and a shortest-repr value, each read back with the
+        # bits of float() of its field.
+        contexts = hand_dataset().contexts.copy()
+        contexts[0, 0] = [5e-324, -0.0]
+        contexts[2, 1] = [1e308, 0.30000000000000004]
+        rewards = hand_dataset().rewards.copy()
+        rewards[1] = [-0.0, 5e-324]
         path = tmp_path / "data.csv"
-        write_replay_csv(path, hand_dataset())
+        write_replay_csv(path, ReplayDataset(contexts=contexts, rewards=rewards))
         loaded = read_replay_csv(path)
-        assert np.array_equal(loaded.contexts, hand_dataset().contexts)
-        assert np.array_equal(loaded.rewards, hand_dataset().rewards)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        fields = np.array([[float(v) for v in row[2:]] for row in rows]).reshape(3, 2, 3)
+        assert loaded.contexts.tobytes() == fields[..., :-1].tobytes() == contexts.tobytes()
+        assert loaded.rewards.tobytes() == fields[..., -1].tobytes() == rewards.tobytes()
+        assert all(a.flags.c_contiguous and a.flags.writeable for a in (loaded.contexts, loaded.rewards))
+
+    def test_reading_holds_at_most_three_times_the_table(self, tmp_path):
+        # 4000 rounds x 5 arms x (10 contexts + reward): a 1.76 MB float64 table.
+        # Holding each row's parsed fields until the file ended peaked at 10.8x.
+        rng = np.random.default_rng(20)
+        dataset = ReplayDataset(contexts=rng.standard_normal((4000, 5, 10)), rewards=rng.standard_normal((4000, 5)))
+        path = tmp_path / "data.csv"
+        write_replay_csv(path, dataset)
+        tracemalloc.start()
+        try:
+            loaded = read_replay_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.contexts, dataset.contexts) and np.array_equal(loaded.rewards, dataset.rewards)
+        assert peak <= 3 * (loaded.contexts.nbytes + loaded.rewards.nbytes)
 
     def test_parse_literal_text(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -95,6 +125,17 @@ class TestReplayCsv:
         )
         with pytest.raises(DataFormatError, match="line 2"):
             read_replay_csv(path)
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e999"])
+    def test_non_finite_number_exits_data_naming_file_and_line(self, tmp_path, capsys, text):
+        # Each was caught only once the whole log was read, as "replay data must be finite".
+        path = tmp_path / "data.csv"
+        path.write_text(dataset_text().replace("1.0,-1.0,0.8", f"1.0,{text},0.8"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"environment": {"K": 2, "d": 2, "T": 3}, "policies": ["uniform"], "seeds": [0]}))
+        assert main(["replay", "--data", str(path), "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"data error: {path}: non-finite number {text} (line 5)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ragged_rounds_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
