@@ -13,15 +13,17 @@ tensor: perturbing theta by +/- h along coordinate j shifts each arm score
 by +/- h * (z + eps)[j], so one base score tensor plus per-coordinate
 increments covers all 2d evaluations.
 
-Feature sets are processed in blocks of at most _BLOCK_SCORE_ENTRIES score
-entries, which bound the resident memory, and the gradient is divided by
-2hs once per chunk of at most _CHUNK_SCORE_ENTRIES entries, which fixes the
-rounding of the result. Each block's picked-value gaps are summed into a
-running total, so no chunk-sized buffer is held (except for d == 1, whose
-single column numpy sums pairwise over the whole chunk).
+The (feature set, noise draw) rows are processed in blocks of at most
+_BLOCK_SCORE_ENTRIES score entries, whole sets or a run of one set's draws,
+which bound the resident memory for any number of sets and draws. The
+gradient is divided by 2hs once per chunk of at most _CHUNK_SCORE_ENTRIES
+entries, which fixes its rounding. Each block's gaps extend the chunk's
+running sum row by row, so the sum does not depend on the block size.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +43,11 @@ __all__ = [
 # Score entries (sets x noise draws x arms x coordinates) per chunk. A chunk
 # is the unit whose gap sum is divided by 2hs, so this fixes the rounding of
 # the gradient, and it sizes averaged_gradient's feature-set batches. It
-# bounds no memory except for d == 1.
+# bounds no memory.
 _CHUNK_SCORE_ENTRIES = 4_000_000
-# Score entries per block within a chunk. Only one block's tensors are
-# resident at a time; they stay cache-sized (65536 entries, 512 KiB), and the
-# passes over them run faster than over chunk-sized ones.
+# Score entries per block within a chunk. It bounds only memory, not the
+# result: one block's tensors are resident at a time, and they stay
+# cache-sized (65536 entries, 512 KiB), where the passes over them run fast.
 _BLOCK_SCORE_ENTRIES = 1 << 16
 
 
@@ -63,8 +65,10 @@ class GradientConfig:
     feature_samples: int = 1
 
     def __post_init__(self):
-        if self.mc_noise_samples < 1 or self.feature_samples < 1:
-            raise ValueError("sample counts must be at least 1")
+        for name in ("mc_noise_samples", "feature_samples"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name!r} must be an integer of at least 1, got {count!r}")
         if not 0 < self.fd_step < math.inf:
             raise ValueError(f"'fd_step' must be positive and finite, got {self.fd_step!r}")
 
@@ -85,7 +89,8 @@ def per_round_expected_regret(theta, z, theta_star, noise_cov, cfg: GradientConf
     per-arm noise sets and averages (z_best - z_picked) . theta_star, where
     best maximizes z . theta_star and picked maximizes (z + eps) . theta.
     Every Monte-Carlo term is nonnegative by definition of the best arm.
-    z is one (K, d) feature set, or a batch (1, K, d) holding one.
+    z is one (K, d) feature set, or a batch (1, K, d) holding one. It draws
+    all s x K x d noise entries at once: the tests' unstreamed reference.
     """
     theta = np.asarray(theta, dtype=float)
     zs = _as_feature_sets(z)
@@ -183,43 +188,41 @@ def _gradient_over_samples(theta, zs, theta_star, draw, cfg, rng):
     s = cfg.mc_noise_samples
     per_set_entries = s * k_arms * d
     chunk = max(1, _CHUNK_SCORE_ENTRIES // max(1, per_set_entries))
-    block = max(1, _BLOCK_SCORE_ENTRIES // max(1, per_set_entries))
+    # A block holds whole sets when one fits, else a run of one set's draws.
+    sets = max(1, _BLOCK_SCORE_ENTRIES // max(1, per_set_entries))
+    draws = min(s, max(1, _BLOCK_SCORE_ENTRIES // max(1, k_arms * d)))
     values_all = zs @ theta_star  # (n, K)
     # Per (set, draw) row and coordinate: value of the arm picked after the
     # -h perturbation minus that after the +h one. The best-arm value cancels
     # in the central difference; only the picked-arm values matter, and
-    # under CRN most picks coincide. Row 0 carries the chunk's running sum.
-    # For d >= 2 numpy sums the rows of a (rows, d) array one after another,
-    # so carrying the sum block by block gives the chunk-wide sum bit for
-    # bit. A single column is summed pairwise instead, so for d == 1 the
-    # buffer holds the whole chunk and is summed once.
-    held = min(n, block if d > 1 else chunk)
-    gaps = np.empty((1 + held * s, d))
+    # under CRN most picks coincide. Row 0 carries the chunk's running sum,
+    # which np.add.accumulate extends one row after another, so the sum does
+    # not depend on where the blocks split the chunk's rows.
+    gaps = np.empty((1 + min(n, sets) * draws, d))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        lead, row = 1, 1  # the chunk's first rows start the sum; row 0 is not yet a carry
-        for lo in range(start, stop, block):
-            hi = min(stop, lo + block)
-            m = hi - lo
+        gaps[0] = 0.0
+        for lo, first in itertools.product(range(start, stop, sets), range(0, s, draws)):
+            hi = min(stop, lo + sets)
+            m, r = hi - lo, min(draws, s - first)
             # The noise is drawn block by block in stream order, so the draws
             # do not depend on the block size.
-            noisy = draw(rng, (m, s, k_arms, d))
+            noisy = draw(rng, (m, r, k_arms, d))
             noisy += zs[lo:hi, None, :, :]
-            base = np.ascontiguousarray((noisy @ theta).transpose(2, 0, 1))  # (K, m, s)
+            base = np.ascontiguousarray((noisy @ theta).transpose(2, 0, 1))  # (K, m, r)
             # Perturbing theta by +-h along coordinate j shifts arm scores
             # by +-h * noisy[..., j], so one base score tensor covers all
             # 2d perturbations.
-            shifts = np.empty((k_arms, d, m, s))
+            shifts = np.empty((k_arms, d, m, r))
             np.multiply(noisy.transpose(2, 3, 0, 1), h, out=shifts)
             del noisy
             offsets = (k_arms * np.arange(lo, hi))[:, None]  # flat row starts in values_all
-            up = values_all.take(_perturbed_argmax(base, shifts, np.add) + offsets)  # (d, m, s)
+            up = values_all.take(_perturbed_argmax(base, shifts, np.add) + offsets)  # (d, m, r)
             down = values_all.take(_perturbed_argmax(base, shifts, np.subtract) + offsets)
-            np.subtract(down, up, out=gaps[row : row + m * s].reshape(m, s, d).transpose(2, 0, 1))
-            row += m * s
-            if d > 1 or hi == stop:
-                gaps[0] = gaps[lead:row].sum(axis=0)
-                lead, row = 0, 1
+            rows = gaps[: 1 + m * r]
+            np.subtract(down, up, out=rows[1:].reshape(m, r, d).transpose(2, 0, 1))
+            np.add.accumulate(rows, axis=0, out=rows)
+            gaps[0] = rows[-1]
         total += gaps[0] / (2.0 * h * s)
     return total, n
 

@@ -61,10 +61,6 @@ MAX_ROUNDS = 2**61 - 1
 # x 10^4 rounds (K=5, d=10, CPython 3.11, x86-64): peak RSS 198.4 MiB against
 # 38.9 MiB for a one-row run, so (198.4 - 38.9) MiB / (5 * 10^5 rows).
 RECORD_BYTES = 334
-# Bytes a regret gradient holds per noise entry (draws x K x d) of its one
-# resident feature set. tracemalloc peaks of one regret_gradient call at
-# 10^5-2*10^5 draws were 2.3 (K=5, d=10) to 4.1 (K=2, d=1) times 8 bytes.
-NOISE_ENTRY_BYTES = 40
 # Score entries (feature sets x noise draws x K x d) a gradient table may
 # evaluate per distribution, and a run's gradient_linrel over all its rounds
 # and seeds. perfbench's gradtable workload evaluates about 1100-1300 feature
@@ -315,8 +311,6 @@ def parse_table_config(doc: dict) -> dict:
     if not np.all(noise_var > 0):
         raise ConfigError(f"noise_diag must hold d={d} positive numbers, got {noise_var.tolist()!r}")
     mc_noise_samples = _integer("mc_noise_samples", doc.get("mc_noise_samples", 1000), minimum=1)
-    _fit_in_memory(NOISE_ENTRY_BYTES * mc_noise_samples * k_arms * d,
-                   f"'mc_noise_samples' = {mc_noise_samples} noise draws x {k_arms} arms x d = {d} per feature set")
     feature_samples = _integer("feature_samples", doc.get("feature_samples", 10_000), minimum=1)
     entries = feature_samples * mc_noise_samples * k_arms * d
     if entries > MAX_TABLE_ENTRIES:
@@ -419,9 +413,7 @@ def _build_scripted(ctx: PolicyContext, p: dict) -> polmod.ScriptedPolicy:
 def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradientLinRel:
     feature_sampler = None if ctx.feature_dist is None else arm_set_sampler(ctx.feature_dist, ctx.K, ctx.d)
     policy = polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=feature_sampler, **p)
-    s = policy.grad_cfg.mc_noise_samples
-    _fit_in_memory(NOISE_ENTRY_BYTES * s * ctx.K * ctx.d, f"'mc_samples' makes {s} noise draws x {ctx.K} arms x d = {ctx.d} per feature set")
-    draws = policy.feature_sets * s  # a round's draws over its feature sets: mc_samples
+    draws = policy.feature_sets * policy.grad_cfg.mc_noise_samples  # a round's draws over its feature sets: mc_samples
     entries = ctx.T * ctx.seeds * draws * ctx.K * ctx.d
     if entries > MAX_TABLE_ENTRIES:
         raise ConfigError(f"'T' = {ctx.T} rounds x {ctx.seeds} seeds x 'mc_samples' = {draws} draws x {ctx.K} arms x d = {ctx.d} "

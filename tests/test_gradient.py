@@ -197,15 +197,17 @@ class TestRegretGradient:
     @pytest.mark.parametrize("k_arms", [2, 5, 130])
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_blocks_and_chunks_match_dense_argmax_reference(self, monkeypatch, d, k_arms, integer_scores):
-        # Budgets of 2 sets per block and 5 per chunk split 9 sets into
-        # chunks of 5 and 4, each of several blocks. The gradient divides by
-        # 2hs once per chunk, so the reference sums each chunk's picked-value
-        # gaps in one array, as np.sum over (sets, draws) does. A step larger
-        # than theta makes most +h and -h picks differ, so few gaps are zero
-        # and the order of the sum shows.
+        # A budget of 5 sets per chunk splits 9 sets into chunks of 5 and 4.
+        # A block budget of 2 sets makes each chunk several blocks of whole
+        # sets; one of 15 draws splits each set's 40 draws over 3 blocks.
+        # The gradient divides by 2hs once per chunk, so the reference sums
+        # each chunk's picked-value gaps over its (set, draw) rows in order.
+        # A step larger than theta makes most +h and -h picks differ, so few
+        # gaps are zero and the order of the sum shows. The noise is scaled
+        # elementwise for a diagonal covariance, and through its Cholesky
+        # factor for a dense one.
         n, s = 9, 40
         per_set = s * k_arms * d
-        monkeypatch.setattr(gradient_module, "_BLOCK_SCORE_ENTRIES", 2 * per_set)
         monkeypatch.setattr(gradient_module, "_CHUNK_SCORE_ENTRIES", 5 * per_set)
         data_rng = np.random.default_rng(100 * d + k_arms)
         if integer_scores:
@@ -217,56 +219,67 @@ class TestRegretGradient:
             theta = data_rng.standard_normal(d)
             noise_diag = data_rng.uniform(0.1, 1.0, d)
         theta_star = data_rng.standard_normal(d)
+        root = data_rng.standard_normal((d, d))
+        dense_cov = root @ root.T + np.diag(noise_diag)
         cfg = GradientConfig(mc_noise_samples=s, fd_step=2.0)
-        got = regret_gradient(theta, zs, theta_star, np.diag(noise_diag), cfg, keyed_rng(17))
-
-        rng = keyed_rng(17)
         norm = np.linalg.norm(theta)
         h = cfg.fd_step * (norm if norm > 0 else 1.0)
-        noisy = zs[:, None, :, :] + rng.standard_normal((n, s, k_arms, d)) * np.sqrt(noise_diag)
-        base = noisy @ theta
-        shifts = h * noisy.transpose(0, 1, 3, 2)  # (n, s, d, K)
-        up = np.argmax(base[:, :, None, :] + shifts, axis=3)
-        down = np.argmax(base[:, :, None, :] - shifts, axis=3)
         values = zs @ theta_star
-        rows = np.arange(n)[:, None, None]
-        gaps = values[rows, down] - values[rows, up]  # (n, s, d)
-        expected = np.zeros(d)
-        for start in (0, 5):
-            expected += gaps[start : start + 5].sum(axis=(0, 1)) / (2.0 * h * s)
-        assert np.array_equal(got, expected / n)
+        for noise_cov in (np.diag(noise_diag), dense_cov):
+            rng = keyed_rng(17)
+            noisy = zs[:, None, :, :] + rng.standard_normal((n, s, k_arms, d)) @ np.linalg.cholesky(noise_cov).T
+            base = noisy @ theta
+            shifts = h * noisy.transpose(0, 1, 3, 2)  # (n, s, d, K)
+            up = np.argmax(base[:, :, None, :] + shifts, axis=3)
+            down = np.argmax(base[:, :, None, :] - shifts, axis=3)
+            rows = np.arange(n)[:, None, None]
+            gaps = values[rows, down] - values[rows, up]  # (n, s, d)
+            expected = np.zeros(d)
+            for start in (0, 5):
+                chunk_rows = gaps[start : start + 5].reshape(-1, d)
+                expected += np.add.accumulate(chunk_rows, axis=0)[-1] / (2.0 * h * s)
+            for block in (2 * per_set, 15 * k_arms * d):
+                monkeypatch.setattr(gradient_module, "_BLOCK_SCORE_ENTRIES", block)
+                got = regret_gradient(theta, zs, theta_star, noise_cov, cfg, keyed_rng(17))
+                assert np.array_equal(got, expected / n)
 
-    @pytest.mark.parametrize("d", [2, 3, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_carried_row_sum_matches_one_sum(self, d):
-        # The kernel sums a chunk block by block, carrying the running sum
-        # as the first row of the next block's rows. For d >= 2 numpy adds
-        # the rows of a (rows, d) array in order, so the carried sum must
-        # equal the sum over the whole chunk bit for bit.
+        # The kernel sums a chunk block by block with np.add.accumulate,
+        # carrying the running sum as the first row of the next block's rows.
+        # The carried sum must equal the chunk's rows added one after
+        # another, bit for bit, for every d and wherever the blocks split.
         rng = np.random.default_rng(d)
         rows = rng.standard_normal((4001, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (4001, d))
-        carried = rows[:7].sum(axis=0)
-        for lo in range(7, len(rows), 500):
-            carried = np.vstack([carried, rows[lo : lo + 500]]).sum(axis=0)
-        assert np.array_equal(carried, rows.sum(axis=0))
+        in_order = np.zeros(d)
+        for row in rows:
+            in_order += row
+        for first, size in ((7, 500), (1, 1), (4001, 1)):
+            carried = np.add.accumulate(rows[:first], axis=0)[-1]
+            for lo in range(first, len(rows), size):
+                carried = np.add.accumulate(np.vstack([carried, rows[lo : lo + size]]), axis=0)[-1]
+            assert np.array_equal(carried, in_order)
 
     def test_memory_stays_within_a_block(self):
-        # One gradient-table chunk: 160 sets x 500 draws x K=5 x d=10. A
-        # chunk-wide (160, 500, 10) buffer of picked-value gaps alone would
-        # be 6.4 MB.
+        # One gradient-table chunk: 160 sets x 500 draws x K=5 x d=10, where
+        # a chunk-wide (160, 500, 10) buffer of picked-value gaps alone would
+        # be 6.4 MB. A d=1 chunk of 2000 sets x 1000 draws x K=2 once held
+        # such a buffer (19 MB peak); one set of 10^5 draws x K=5 x d=10 once
+        # held all its draws at once (92 MB peak).
         data_rng = np.random.default_rng(18)
-        d = 10
-        zs = data_rng.standard_normal((160, 5, d))
-        theta = data_rng.standard_normal(d)
-        theta_star = data_rng.standard_normal(d)
-        noise_cov = np.diag(0.1 * np.arange(1, d + 1))
-        cfg = GradientConfig(mc_noise_samples=500)
-        tracemalloc.start()
-        try:
-            regret_gradient(theta, zs, theta_star, noise_cov, cfg, keyed_rng(19))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3_000_000
+        for n, s, k_arms, d, bound in ((160, 500, 5, 10, 3_000_000), (2000, 1000, 2, 1, 4_000_000), (1, 100_000, 5, 10, 4_000_000)):
+            zs = data_rng.standard_normal((n, k_arms, d))
+            theta = data_rng.standard_normal(d)
+            theta_star = data_rng.standard_normal(d)
+            noise_cov = np.diag(0.1 * np.arange(1, d + 1))
+            cfg = GradientConfig(mc_noise_samples=s)
+            tracemalloc.start()
+            try:
+                regret_gradient(theta, zs, theta_star, noise_cov, cfg, keyed_rng(19))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, s, k_arms, d, peak)
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("sets", [None, 3])
@@ -368,3 +381,13 @@ def test_config_validation():
             RegretGradientLinRel(2, np.eye(2), np.random.default_rng(0), fd_step=fd_step)
     with pytest.raises(ValueError):
         GradientConfig(feature_samples=0)
+    assert GradientConfig(mc_noise_samples=np.int64(3), feature_samples=np.int32(2)).mc_noise_samples == 3
+
+
+@pytest.mark.parametrize("field", ["mc_noise_samples", "feature_samples"])
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "3", None])
+def test_config_rejects_non_integer_counts(field, count):
+    # Floats and bools were accepted and failed later inside numpy; a string
+    # or None failed in the range check. Each was a TypeError.
+    with pytest.raises(ValueError, match=f"'{field}' must be an integer of at least 1"):
+        GradientConfig(**{field: count})

@@ -183,6 +183,17 @@ class TestConfigParsing:
         else:
             assert build_policy(spec, ctx).name == name
 
+    def test_monte_carlo_draws_bounded_only_by_work(self):
+        # The gradient streams each feature set's draws in blocks, so 10^9
+        # draws of one set hold no more memory than 10^3; only the work bound
+        # (2e9 score entries here, under 10^12) limits them. Both configs
+        # used to be refused unless 80 GB of physical memory held the draws.
+        doc = {"distributions": ["gaussian"], "K": 2, "d": 1, "noise_diag": [0.1], "feature_samples": 1, "mc_noise_samples": 10**9}
+        assert parse_table_config(doc)["cfg"].mc_noise_samples == 10**9
+        ctx = PolicyContext(d=1, K=2, T=1, noise_cov=np.eye(1), rng=np.random.default_rng(0))
+        policy = build_policy(PolicySpec(name="gradient_linrel", params={"mc_samples": 10**9}), ctx)
+        assert policy.grad_cfg.mc_noise_samples == 10**9
+
 
 class TestRunSimulation:
     def test_zero_theta_uniform_policy_zero_regret(self):
