@@ -1,15 +1,16 @@
 """Decision policies behind one select/observe interface.
 
-``select(t, x, rng)`` sees only the observed per-arm features; policies
-whose construction bakes in hidden quantities (the true coefficient, the
-feature law, or the closed-form optimal coefficient) carry ``oracle = True``.
-``observe(t, arm, x_arm, y, noise_cov)`` feeds back the chosen arm's
-observed features and reward together with the known noise covariance, and
-is the only mutation point of a policy's state.
+A policy is built with everything it knows before round 1: the NLinRel
+policies take the known feature-noise covariance, the reference policies
+their fixed coefficient. ``select(t, x, rng)`` sees only the observed
+per-arm features. ``observe(t, arm, x_arm, y)`` feeds back the chosen arm's
+observed features and reward, and is the only mutation point of a
+policy's state.
 """
 
 import logging
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .linalg import (
     eigendecompose,
     gaussian_sampler,
     rank_threshold,
+    sym_matrix,
     truncated_pinv_apply,
 )
 
@@ -98,12 +100,11 @@ class Policy:
     """Base select/observe interface; subclasses own all mutable state."""
 
     name = "policy"
-    oracle = False
 
     def select(self, t: int, x: np.ndarray, rng) -> int:
         raise NotImplementedError
 
-    def observe(self, t: int, arm: int, x_arm: np.ndarray, y: float, noise_cov) -> None:
+    def observe(self, t: int, arm: int, x_arm: np.ndarray, y: float) -> None:
         pass
 
     def current_theta(self) -> np.ndarray | None:
@@ -153,10 +154,11 @@ class NoisyLinRel(Policy):
 
     name = "noisy_linrel"
 
-    def __init__(self, d: int, alpha_exponent: float = ALPHA_EXPONENT_DEFAULT):
+    def __init__(self, d: int, noise_cov, alpha_exponent: float = ALPHA_EXPONENT_DEFAULT):
         if not 0.5 < alpha_exponent < 1.0:
             raise ValueError("alpha_exponent must lie in (1/2, 1)")
         self.d = d
+        self.noise_cov = sym_matrix(noise_cov)  # a symmetric input is kept bit for bit
         self.alpha_exponent = alpha_exponent
         self.Z = np.zeros((d, d))
         self.Y = np.zeros(d)
@@ -191,9 +193,9 @@ class NoisyLinRel(Policy):
         candidates = candidate_set(r, width)
         return candidates[int(rng.integers(len(candidates)))]
 
-    def observe(self, t, arm, x_arm, y, noise_cov) -> None:
+    def observe(self, t, arm, x_arm, y) -> None:
         x_arm = np.asarray(x_arm, dtype=float)
-        self.Z += x_arm[:, None] * x_arm - np.asarray(noise_cov, dtype=float)  # np.outer without its wrapper
+        self.Z += x_arm[:, None] * x_arm - self.noise_cov  # np.outer without its wrapper
         self.Y += y * x_arm
 
     def current_theta(self):
@@ -237,7 +239,7 @@ class ExploreThenCommitGreedy(Policy):
             self.theta_hat = cutoff_pinv_solve(self.X, self.Y)
         return int(np.argmax(x @ self.theta_hat))
 
-    def observe(self, t, arm, x_arm, y, noise_cov) -> None:
+    def observe(self, t, arm, x_arm, y) -> None:
         if t <= self.tau:
             x_arm = np.asarray(x_arm, dtype=float)
             self.X += x_arm[:, None] * x_arm
@@ -276,7 +278,7 @@ class LinUCB(Policy):
             raise ValueError(f"the top arm score {float(scores[arm])!r} is not finite")
         return arm
 
-    def observe(self, t, arm, x_arm, y, noise_cov) -> None:
+    def observe(self, t, arm, x_arm, y) -> None:
         x_arm = np.asarray(x_arm, dtype=float)
         self.A += x_arm[:, None] * x_arm
         self.b += y * x_arm
@@ -297,8 +299,6 @@ class FixedCoefficient(Policy):
     Used for the reference policies built from hidden quantities: the true
     coefficient ("oracle_tc") and the closed-form optimum ("oracle_cf").
     """
-
-    oracle = True
 
     def __init__(self, theta, name: str = "fixed"):
         self.theta = np.asarray(theta, dtype=float).copy()
@@ -366,9 +366,9 @@ class RegretGradientLinRel(Policy):
     ):
         if step_size < 0 or ucb_coeff < 0:
             raise ValueError("step_size and ucb_coeff must be nonnegative")
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be at least 1")
-        self.estimator = NoisyLinRel(d, alpha_exponent)
+        if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral) or mc_samples < 1:  # as GradientConfig
+            raise ValueError(f"'mc_samples' must be an integer of at least 1, got {mc_samples!r}")
+        self.estimator = NoisyLinRel(d, noise_cov, alpha_exponent)
         self.noise_draw = gaussian_sampler(noise_cov)  # built once: a bad covariance fails before round 1
         self.feature_sampler = feature_sampler
         self.step_size = step_size
@@ -424,8 +424,8 @@ class RegretGradientLinRel(Policy):
             self.skipped_gradient_steps += 1
             log.warning("skipped degenerate regret-gradient step at t=%d", t)
 
-    def observe(self, t, arm, x_arm, y, noise_cov) -> None:
-        self.estimator.observe(t, arm, x_arm, y, noise_cov)
+    def observe(self, t, arm, x_arm, y) -> None:
+        self.estimator.observe(t, arm, x_arm, y)
 
     def current_theta(self):
         return self.theta

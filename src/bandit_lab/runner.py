@@ -430,7 +430,7 @@ POLICIES = {
     "uniform": dict(build=lambda ctx, p: polmod.UniformRandom()),
     "scripted": dict(build=_build_scripted, params={"arms": _integers}),
     "noisy_linrel": dict(
-        build=lambda ctx, p: polmod.NoisyLinRel(ctx.d, **p),
+        build=lambda ctx, p: polmod.NoisyLinRel(ctx.d, ctx.noise_cov, **p),
         params={"alpha_exponent": _number},
         noise=sym_matrix,  # finite; a constant column's zero variance is usable
     ),
@@ -501,7 +501,6 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
     for spec in specs:
         policy_rng = envmod.keyed_rng(seed, 0, envmod.LANE_POLICY)
         players.append((build_policy(spec, PolicyContext(rng=policy_rng, **ctx_fields)), policy_rng))
-    noise_cov = ctx_fields["noise_cov"]
     for t, x, info in rounds:
         for i, (policy, policy_rng) in enumerate(players):
             try:
@@ -509,7 +508,7 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
                 y = payoff(info, arm)
                 if not math.isfinite(y):
                     raise ValueError(f"reward {y!r} is not finite")
-                policy.observe(t, arm, x[arm], y, noise_cov)
+                policy.observe(t, arm, x[arm], y)
             except ValueError as exc:  # e.g. running sums that overflowed a double
                 raise ConfigError(f"policy {specs[i].label!r} stopped at round {t} of seed {seed}: {exc}") from exc
             yield i, policy, info, arm, y

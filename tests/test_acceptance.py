@@ -221,7 +221,7 @@ def greedy_scaling_ratios():
             ctx = envmod.sample_round(cfg, t)
             arm = policy.select(t, ctx.x, rng)
             y = envmod.reward(cfg, ctx, arm)
-            policy.observe(t, arm, ctx.x[arm], y, cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], y)
             if t in (1000, 4000):
                 estimate = cutoff_pinv_solve(policy.X, policy.Y)
                 errors[t] = float(np.linalg.norm(estimate - theta_bar))

@@ -617,7 +617,7 @@ MVN = "multivariate_gaussian"
         ("run", ("environment", "K"), 10**12, "'K'"),
         ("gradtable", ("d",), 10**6, "'d'"),
         ("run", ("environment", "reward_noise_sigma"), 10**400, "'reward_noise_sigma'"),
-        # Monte-Carlo draws of one feature set too large to hold, each an array-allocation traceback before.
+        # Monte-Carlo draw counts whose score entries exceed the work bound, each an array-allocation traceback before.
         ("gradtable", ("mc_noise_samples",), 10**12, "'mc_noise_samples'"),
         ("run", ("policies", 0), {"name": "gradient_linrel", "params": {"mc_samples": 10**12}}, "'mc_samples'"),
         # gradient_linrel's score entries over all rounds and seeds beyond the work bound: 5e12 of them, which

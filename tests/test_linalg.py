@@ -179,6 +179,12 @@ class TestSpectralNorm:
         expected = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)
         assert spectral_norm([[1.0, 1.0], [0.0, 1.0]]) == pytest.approx(expected, rel=1e-8)
 
+    def test_vector_is_its_two_norm(self):
+        # A 1-D input is read as one column, whose only singular value is its length.
+        v = np.array([3.0, -4.0, 12.0])
+        assert spectral_norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-12)
+        assert spectral_norm(v) == pytest.approx(13.0, rel=1e-12)
+
 
 
 class TestCutoffPinvSolve:

@@ -113,9 +113,9 @@ class TestCandidateSet:
 
 class TestNoisyLinRel:
     def test_update_from_zero_state(self):
-        policy = NoisyLinRel(d=2)
         x, y, noise = np.array([1.0, 2.0]), 0.5, 0.1 * np.eye(2)
-        policy.observe(1, 0, x, y, noise)
+        policy = NoisyLinRel(d=2, noise_cov=noise)
+        policy.observe(1, 0, x, y)
         assert np.array_equal(policy.Z, np.outer(x, x) - noise)
         assert np.array_equal(policy.Y, y * x)
 
@@ -123,31 +123,31 @@ class TestNoisyLinRel:
         noise = 0.2 * np.eye(2)
         xs = [np.array([1.0, 0.5]), np.array([-0.3, 2.0])]
         ys = [1.0, -0.5]
-        a = NoisyLinRel(d=2)
-        b = NoisyLinRel(d=2)
-        a.observe(1, 0, xs[0], ys[0], noise)
-        a.observe(2, 0, xs[1], ys[1], noise)
-        b.observe(1, 0, xs[1], ys[1], noise)
-        b.observe(2, 0, xs[0], ys[0], noise)
+        a = NoisyLinRel(d=2, noise_cov=noise)
+        b = NoisyLinRel(d=2, noise_cov=noise)
+        a.observe(1, 0, xs[0], ys[0])
+        a.observe(2, 0, xs[1], ys[1])
+        b.observe(1, 0, xs[1], ys[1])
+        b.observe(2, 0, xs[0], ys[0])
         assert np.allclose(a.Z, b.Z) and np.allclose(a.Y, b.Y)
 
     def test_noise_cancellation(self):
         x = np.array([0.6, -0.8])
-        policy = NoisyLinRel(d=2)
+        policy = NoisyLinRel(d=2, noise_cov=np.outer(x, x))
         for t in range(1, 6):
-            policy.observe(t, 0, x, 0.0, np.outer(x, x))
+            policy.observe(t, 0, x, 0.0)
         assert np.max(np.abs(policy.Z)) == 0.0
 
     def test_state_exactness_against_direct_sum(self):
         rng = np.random.default_rng(4)
         noise = random_pd(rng, 3, jitter=0.5)
-        policy = NoisyLinRel(d=3)
+        policy = NoisyLinRel(d=3, noise_cov=noise)
         direct_z = np.zeros((3, 3))
         direct_y = np.zeros(3)
         for t in range(1, 200):
             x = rng.standard_normal(3)
             y = float(rng.standard_normal())
-            policy.observe(t, 0, x, y, noise)
+            policy.observe(t, 0, x, y)
             direct_z += np.outer(x, x) - noise
             direct_y += y * x
         assert np.max(np.abs(policy.Z - direct_z)) <= 1e-9
@@ -156,13 +156,13 @@ class TestNoisyLinRel:
     def test_cold_start_explores_distinct_contexts(self):
         # With an empty spectrum nothing is estimated and the pairwise widths
         # are full feature distances, so distinct arms all stay candidates.
-        policy = NoisyLinRel(d=2)
+        policy = NoisyLinRel(d=2, noise_cov=np.zeros((2, 2)))
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         picks = {policy.select(1, x, keyed_rng(s)) for s in range(40)}
         assert picks == {0, 1, 2}
 
     def test_cold_start_identical_contexts_pick_first(self):
-        policy = NoisyLinRel(d=2)
+        policy = NoisyLinRel(d=2, noise_cov=np.zeros((2, 2)))
         x = np.tile([0.4, -0.2], (4, 1))
         for s in range(10):
             assert policy.select(1, x, keyed_rng(s)) == 0
@@ -179,20 +179,20 @@ class TestNoisyLinRel:
             reward_noise_sigma=0.1,
             seed=12,
         )
-        policy = NoisyLinRel(d=3)
+        policy = NoisyLinRel(d=3, noise_cov=cfg.noise.covariance)
         rng = keyed_rng(12, 0, 2)
         for t in range(1, cfg.T + 1):
             ctx = sample_round(cfg, t)
             arm = policy.select(t, ctx.x, rng)
             y = reward(cfg, ctx, arm)
-            policy.observe(t, arm, ctx.x[arm], y, cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], y)
         est = policy.theta_hat
         cos = est @ theta_star / (np.linalg.norm(est) * np.linalg.norm(theta_star))
         assert 1.0 - cos < 0.02
 
     def test_alpha_exponent_validated(self):
         with pytest.raises(ValueError):
-            NoisyLinRel(d=2, alpha_exponent=0.4)
+            NoisyLinRel(d=2, noise_cov=np.zeros((2, 2)), alpha_exponent=0.4)
 
     @pytest.mark.parametrize("case", ["random", "tie", "inf", "nan"])
     @pytest.mark.parametrize("seed", range(5))
@@ -202,9 +202,9 @@ class TestNoisyLinRel:
         # generator where that draw leaves it.
         rng = np.random.default_rng(seed)
         d, k_arms, t = 10, 5, 50
-        policy = NoisyLinRel(d)
+        policy = NoisyLinRel(d, 0.1 * np.eye(d))
         for i in range(1, 200):
-            policy.observe(i, 0, rng.standard_normal(d), float(rng.standard_normal()), 0.1 * np.eye(d))
+            policy.observe(i, 0, rng.standard_normal(d), float(rng.standard_normal()))
         _, k, theta = policy.estimate(t)
         assert k == d
         x = rng.standard_normal((k_arms, d))
@@ -271,7 +271,7 @@ class TestExploreThenCommitGreedy:
         for t in range(1, 2502):
             ctx = sample_round(cfg, t)
             arm = policy.select(t, ctx.x, rng)
-            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm), cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm))
         expected = bayes_optimal_theta(np.eye(2), 0.5 * np.eye(2), theta_star)
         assert np.linalg.norm(policy.theta_hat - expected) < 0.1
 
@@ -281,7 +281,7 @@ class TestExploreThenCommitGreedy:
         rng = keyed_rng(2)
         for t in range(1, 5):
             arm = policy.select(t, x, rng)
-            policy.observe(t, arm, x[arm], 1.0, np.eye(3))
+            policy.observe(t, arm, x[arm], 1.0)
         assert policy.select(5, x, rng) in (0, 1)
 
 
@@ -301,7 +301,7 @@ class TestLinUCB:
         # After one observation theta = y (I + x x^T)^-1 x = y x / (1 + |x|^2)
         policy = LinUCB(d=2)
         x, y = np.array([1.0, 2.0]), 3.0
-        policy.observe(1, 0, x, y, None)
+        policy.observe(1, 0, x, y)
         expected = y * x / (1.0 + float(x @ x))
         assert np.allclose(policy.current_theta(), expected, atol=1e-12)
 
@@ -309,20 +309,20 @@ class TestLinUCB:
         # A context of -1e308 made the widths inf - inf = NaN, with a RuntimeWarning, and argmax took the NaN.
         policy = LinUCB(d=2)
         for _ in range(3):
-            policy.observe(1, 0, np.array([2.0, -1.5]), 0.5, None)
+            policy.observe(1, 0, np.array([2.0, -1.5]), 0.5)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="top arm score nan is not finite"):  # as the CLI runs
             policy.select(4, np.array([[-0.6, -0.9], [0.2, -1e308]]), None)
 
     def test_overflowing_sums_rejected(self):
         policy = LinUCB(d=2)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="running sums A and b must be finite"):  # as the CLI runs
-            policy.observe(1, 0, np.array([1e200, 1.0]), 0.5, None)
+            policy.observe(1, 0, np.array([1e200, 1.0]), 0.5)
 
     def test_gram_stays_positive_definite(self):
         rng = np.random.default_rng(5)
         policy = LinUCB(d=3)
         for t in range(200):
-            policy.observe(t, 0, rng.standard_normal(3) * 5, float(rng.standard_normal()), None)
+            policy.observe(t, 0, rng.standard_normal(3) * 5, float(rng.standard_normal()))
         np.linalg.cholesky(policy.A)  # raises if not PD
 
     def test_one_coefficient_solve_per_round(self, monkeypatch):
@@ -344,7 +344,7 @@ class TestLinUCB:
             assert untracked.select(t, x, None) == arm
             y = float(rng.standard_normal())
             for policy in (tracked, untracked):
-                policy.observe(t, arm, x[arm], y, None)
+                policy.observe(t, arm, x[arm], y)
             # select, observe, current_theta: the order of the simulation round core
             assert np.array_equal(tracked.current_theta(), solve(tracked.A, tracked.b))
         # one solve per round, plus round 1's select, which no current_theta preceded
@@ -357,7 +357,6 @@ class TestFixedCoefficient:
         policy = FixedCoefficient(np.array([1.0, 0.0]), name="oracle_tc")
         x = np.array([[0.2, 9.0], [0.9, -9.0], [-1.0, 0.0]])
         assert policy.select(1, x, keyed_rng(0)) == 1
-        assert policy.oracle
 
     def test_tie_goes_to_lowest_index(self):
         policy = FixedCoefficient(np.array([1.0, 0.0]))
@@ -413,7 +412,7 @@ def _run_gradient_policy(policy, cfg, T):
         ctx = sample_round(cfg, t)
         arm = policy.select(t, ctx.x, rng)
         y = reward(cfg, ctx, arm)
-        policy.observe(t, arm, ctx.x[arm], y, cfg.noise.covariance)
+        policy.observe(t, arm, ctx.x[arm], y)
     return policy
 
 
@@ -459,7 +458,7 @@ class TestRegretGradientLinRel:
             _, _, estimate = policy.estimator.estimate(t)
             arm = policy.select(t, ctx.x, rng)
             assert arm == int(np.argmax(ctx.x @ (estimate + correction0)))
-            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm), cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm))
         assert np.array_equal(policy.correction, correction0)
         assert np.any(policy.estimator.theta_hat != 0.0)
 
@@ -489,6 +488,35 @@ class TestRegretGradientLinRel:
         replay = RegretGradientLinRel(cfg.d, cfg.noise.covariance, keyed_rng(27), mc_samples=mc_samples)
         assert (replay.feature_sets, replay.grad_cfg.mc_noise_samples) == (1, mc_samples)
 
+    @pytest.mark.parametrize("sampler", [False, True], ids=["replay", "sampler"])
+    @pytest.mark.parametrize("mc_samples", [2.5, 2.0, True, 0])
+    def test_mc_samples_read_as_gradient_config_reads_counts(self, mc_samples, sampler):
+        # With a sampler 2.5 failed in the divisor search, without one the error
+        # named 'mc_noise_samples', and True built a policy.
+        cfg = _gaussian_env(seed=30)
+        feature_sampler = _feature_sampler(cfg) if sampler else None
+        with pytest.raises(ValueError, match="'mc_samples' must be an integer of at least 1"):
+            RegretGradientLinRel(cfg.d, cfg.noise.covariance, keyed_rng(30), feature_sampler=feature_sampler, mc_samples=mc_samples)
+        policy = RegretGradientLinRel(cfg.d, cfg.noise.covariance, keyed_rng(30), feature_sampler=feature_sampler, mc_samples=np.int64(15))
+        assert policy.feature_sets * policy.grad_cfg.mc_noise_samples == 15
+
+    def test_zero_spread_skips_the_step(self, caplog):
+        # Replay mode with both arms showing the same context each round: the
+        # arm values' spread under any estimate is exactly 0, so once the
+        # estimate keeps a direction (round 2 on) every step is skipped.
+        d = 2
+        policy = RegretGradientLinRel(d, 0.01 * np.eye(d), keyed_rng(31), step_size=0.05, mc_samples=20)
+        rng = np.random.default_rng(31)
+        with caplog.at_level("WARNING", logger="bandit_lab.policies"):
+            for t in range(1, 8):
+                v = 3.0 * rng.standard_normal(d)
+                x = np.tile(v, (2, 1))
+                arm = policy.select(t, x, rng)
+                policy.observe(t, arm, x[arm], float(v @ [0.5, -0.2]))
+        assert (policy.skipped_gradient_steps, policy.gradient_steps) == (6, 0)
+        assert np.array_equal(policy.correction, np.zeros(d))
+        assert [r.getMessage() for r in caplog.records] == [f"skipped degenerate regret-gradient step at t={t}" for t in range(2, 8)]
+
     def test_zero_step_plays_estimate_once_full_rank(self):
         cfg = _gaussian_env(seed=28, T=200)
         policy = RegretGradientLinRel(
@@ -507,7 +535,7 @@ class TestRegretGradientLinRel:
             if k == cfg.d:
                 full_rank_rounds += 1
                 assert arm == int(np.argmax(ctx.x @ estimate))
-            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm), cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm))
         assert full_rank_rounds >= cfg.T // 2
 
     def test_converges_near_shrunk_coefficient_gaussian(self):
@@ -543,7 +571,7 @@ class TestRegretGradientLinRel:
         for t in range(1, 40):
             ctx = sample_round(cfg, t)
             arm = policy.select(t, ctx.x, rng)
-            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm), cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm))
         assert policy.estimator.theta_hat is not None
         # the played theta also moves with the estimate, so watch the
         # descent iterate itself; on one observed set the common-noise
@@ -555,7 +583,7 @@ class TestRegretGradientLinRel:
             before = policy.descent.copy()
             arm = policy.select(t, ctx.x, rng)
             moved += not np.array_equal(policy.descent, before)
-            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm), cfg.noise.covariance)
+            policy.observe(t, arm, ctx.x[arm], reward(cfg, ctx, arm))
         assert policy.gradient_steps == steps_before + 10
         assert moved > 0  # stepped using x as z
 

@@ -248,7 +248,7 @@ class TestRunReplay:
             def select(self, t, x, rng):
                 return 0
 
-            def observe(self, t, arm, x_arm, y, noise_cov):
+            def observe(self, t, arm, x_arm, y):
                 observed.append((t, arm, float(y)))
 
         from bandit_lab.runner import POLICIES
