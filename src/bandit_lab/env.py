@@ -308,10 +308,10 @@ class NoiseModel:
         draw = self._draw
         out = draw(rng, (n, self.dim))
         radius = self._radius
-        bad = np.linalg.norm(out, axis=1) > radius
-        while np.any(bad):
+        bad = np.sqrt(np.add.reduce(out * out, axis=1)) > radius  # np.linalg.norm(out, axis=1) > radius
+        while bad.any():
             out[bad] = draw(rng, (int(bad.sum()), self.dim))
-            bad = np.linalg.norm(out, axis=1) > radius
+            bad = np.sqrt(np.add.reduce(out * out, axis=1)) > radius
         return out
 
 
@@ -378,7 +378,7 @@ def sample_round(cfg: EnvironmentConfig, t: int, rng=None) -> RoundContext:
         rng = _round_stream(cfg.seed, t, LANE_CONTEXT)
     z = cfg.feature_dist.sample(rng, cfg.K, cfg.d)
     if cfg.noise.mode == "identical":
-        eps = np.repeat(cfg.noise.sample(rng, 1), cfg.K, axis=0)
+        eps = cfg.noise.sample(rng, 1).repeat(cfg.K, axis=0)
     else:
         eps = cfg.noise.sample(rng, cfg.K)
     return RoundContext(t=t, z=z, x=z + eps, eps=eps)
@@ -423,7 +423,7 @@ def oracle_arm(round_ctx: RoundContext, theta_star) -> int:
 
 def bar_theta_arm(round_ctx: RoundContext, theta_bar) -> int:
     """Best arm by observed features under a fixed coefficient vector."""
-    return int(np.argmax(round_ctx.x @ np.asarray(theta_bar, dtype=float)))
+    return int((round_ctx.x @ np.asarray(theta_bar, dtype=float)).argmax())
 
 
 def instantaneous_regret(round_ctx: RoundContext, arm: int, theta_star) -> float:

@@ -82,7 +82,7 @@ def candidate_set(rewards, pairwise_width) -> list[int]:
     active = list(range(r.shape[0]))
     chosen: list[int] = []
     while active:
-        c = active[int(np.argmax(r[active]))]
+        c = active[int(r[active].argmax())]
         chosen.append(c)
         survivors = []
         for i in active:
@@ -159,6 +159,8 @@ class NoisyLinRel(Policy):
             raise ValueError("alpha_exponent must lie in (1/2, 1)")
         self.d = d
         self.noise_cov = sym_matrix(noise_cov)  # a symmetric input is kept bit for bit
+        if self.noise_cov.shape != (d, d):  # observe would broadcast it over Z
+            raise ValueError(f"noise_cov has shape {self.noise_cov.shape}, but d = {d} needs shape {(d, d)}")
         self.alpha_exponent = alpha_exponent
         self.Z = np.zeros((d, d))
         self.Y = np.zeros(d)
@@ -179,7 +181,7 @@ class NoisyLinRel(Policy):
         r = x @ theta
         # At full rank every width is 0: only the first argmax c survives, and
         # rng.integers(1) draws nothing. An inf or NaN score takes the loop below.
-        c = int(np.argmax(r))
+        c = int(r.argmax())
         if k == self.d and math.isfinite(r[c]):
             return c
         # Project all arms onto the discarded eigendirections once; each
@@ -237,7 +239,7 @@ class ExploreThenCommitGreedy(Policy):
             return int(rng.integers(x.shape[0]))
         if self.theta_hat is None:
             self.theta_hat = cutoff_pinv_solve(self.X, self.Y)
-        return int(np.argmax(x @ self.theta_hat))
+        return int((x @ self.theta_hat).argmax())
 
     def observe(self, t, arm, x_arm, y) -> None:
         if t <= self.tau:
@@ -271,9 +273,9 @@ class LinUCB(Policy):
 
     def select(self, t, x, rng) -> int:
         with np.errstate(over="ignore", invalid="ignore"):  # contexts near 1e308 overflow the widths, even to NaN
-            widths = np.sqrt(np.sum(x * np.linalg.solve(self.A, x.T).T, axis=1))
+            widths = np.sqrt((x * np.linalg.solve(self.A, x.T).T).sum(axis=1))
             scores = x @ self.current_theta() + self.ucb_alpha * widths
-        arm = int(np.argmax(scores))  # the first NaN, if there is one
+        arm = int(scores.argmax())  # the first NaN, if there is one
         if not math.isfinite(scores[arm]):
             raise ValueError(f"the top arm score {float(scores[arm])!r} is not finite")
         return arm
@@ -305,7 +307,7 @@ class FixedCoefficient(Policy):
         self.name = name
 
     def select(self, t, x, rng) -> int:
-        return int(np.argmax(x @ self.theta))
+        return int((x @ self.theta).argmax())
 
     def current_theta(self):
         return self.theta
@@ -398,8 +400,8 @@ class RegretGradientLinRel(Policy):
         scores = x @ self.theta
         if self.ucb_coeff > 0.0 and k < self.estimator.d:  # at full rank the bonus is 0
             tail = eig.eigenvectors[:, k:].T @ x.T
-            scores = scores + self.ucb_coeff * np.linalg.norm(tail, axis=0)
-        return int(np.argmax(scores))
+            scores = scores + self.ucb_coeff * np.sqrt(np.add.reduce(tail * tail, axis=0))  # np.linalg.norm(tail, axis=0)
+        return int(scores.argmax())
 
     def _step(self, x, eig, k, theta_dagger, rng, t) -> None:
         """One descent step in the estimate's k kept directions, then the running mean."""
@@ -407,7 +409,7 @@ class RegretGradientLinRel(Policy):
             z, spread_sample = x, x
         else:
             z, spread_sample = self.feature_sampler(rng, self.feature_sets), self.spread_sample
-        spread = float(np.std(spread_sample @ theta_dagger))
+        spread = float((spread_sample @ theta_dagger).std())
         grad = regret_gradient(theta_dagger + self.descent, z, theta_dagger, self.noise_draw, self.grad_cfg, rng)
         if k < self.estimator.d:
             # The estimate, standing in for the true coefficient, has not
@@ -416,7 +418,7 @@ class RegretGradientLinRel(Policy):
             # At full rank the projection is the identity and is skipped.
             kept = eig.eigenvectors[:, :k]
             grad = kept @ (kept.T @ grad)
-        if spread > 0.0 and np.all(np.isfinite(grad)):
+        if spread > 0.0 and np.isfinite(grad).all():
             self.gradient_steps += 1
             self.descent -= self.step_size / (spread * math.sqrt(self.gradient_steps)) * grad
             self.correction += (self.descent - self.correction) / self.gradient_steps

@@ -415,8 +415,9 @@ def _build_gradient_linrel(ctx: PolicyContext, p: dict) -> polmod.RegretGradient
     policy = polmod.RegretGradientLinRel(ctx.d, ctx.noise_cov, ctx.rng, feature_sampler=feature_sampler, **p)
     draws = policy.feature_sets * policy.grad_cfg.mc_noise_samples  # a round's draws over its feature sets: mc_samples
     entries = ctx.T * ctx.seeds * draws * ctx.K * ctx.d
+    rounds = f"the replay log's {ctx.T} rounds" if ctx.feature_dist is None else f"'T' = {ctx.T} rounds"  # no config holds a log's count
     if entries > MAX_TABLE_ENTRIES:
-        raise ConfigError(f"'T' = {ctx.T} rounds x {ctx.seeds} seeds x 'mc_samples' = {draws} draws x {ctx.K} arms x d = {ctx.d} "
+        raise ConfigError(f"{rounds} x {ctx.seeds} seeds x 'mc_samples' = {draws} draws x {ctx.K} arms x d = {ctx.d} "
                           f"make {entries} score entries, more than the {MAX_TABLE_ENTRIES} a run may take")
     return policy
 
@@ -482,7 +483,7 @@ def _cosine_distance(theta, reference, norm_r: float) -> float | None:
     theta = np.asarray(theta, dtype=float)
     norm_t = math.sqrt(theta.dot(theta))  # np.linalg.norm's own arithmetic, without its overhead
     # A finite norm implies finite entries; a finite theta can still overflow it.
-    if norm_t == 0.0 or norm_r == 0.0 or (not math.isfinite(norm_t) and not np.all(np.isfinite(theta))):
+    if norm_t == 0.0 or norm_r == 0.0 or (not math.isfinite(norm_t) and not np.isfinite(theta).all()):
         return None
     return float(1.0 - theta @ reference / (norm_t * norm_r))
 
@@ -496,6 +497,10 @@ def _play(specs, seed: int, ctx_fields: dict, rounds, payoff):
     round is played. In each round the policies take their turns in spec
     order: select -> payoff -> observe, then (i, policy, info, arm, y) goes to
     the caller's bookkeeping, i being the policy's index in ``specs``.
+
+    Per-round code here, in the callers and in the policies calls array methods
+    (``a.argmax()``) and ufunc reductions, not numpy's wrappers (``np.argmax(a)``),
+    and keeps Python floats, not numpy scalars: at K=5, d=10 those cost more than the arithmetic.
     """
     players = []
     for spec in specs:
@@ -534,7 +539,7 @@ def _play_environment(specs, seed: int, environment: envmod.EnvironmentConfig, s
     return _play(specs, seed, ctx_fields, rounds, lambda info, arm: envmod.reward(environment, info[0], arm, noise=info[1]))
 
 
-def _records_in_output_order(specs, seeds, rounds: int, steps):
+def _records_in_output_order(specs, seeds, rounds: int, rounds_named: str, steps):
     """RunRecords in (policy, seed, t) order from runs that step each seed's policies together.
 
     ``steps(seed)`` yields (i, t, arm, reward, inst_regret, rel_regret,
@@ -542,10 +547,10 @@ def _records_in_output_order(specs, seeds, rounds: int, steps):
     RunRecord when it is made: the first policy's are yielded at once, each
     later policy's are held in its list until the last seed is done. Before
     round 1, a run whose records could not fit in physical memory is a
-    ConfigError.
+    ConfigError that names the rounds as ``rounds_named`` does.
     """
     rows = rounds * len(seeds) * len(specs)
-    _fit_in_memory(rows * RECORD_BYTES, f"'T' = {rounds} rounds x {len(seeds)} seeds x {len(specs)} policies make {rows} result rows")
+    _fit_in_memory(rows * RECORD_BYTES, f"{rounds_named} x {len(seeds)} seeds x {len(specs)} policies make {rows} result rows")
     held = [[] for _ in specs[1:]]
     for seed in seeds:
         cum = [0.0] * len(specs)
@@ -586,14 +591,16 @@ def run_simulation(cfg: RunConfig):
         for i, policy, (round_ctx, _), arm, y in _play_environment(cfg.policies, seed, environment, len(cfg.seeds)):
             if i == 0:  # the first turn of a round
                 values = round_ctx.z @ theta_star
-                best = values.max()
+                best = float(values.max())  # numpy's max, so a NaN value reaches the finiteness check
+                values = values.tolist()  # each row's regrets in Python floats, cheaper than numpy scalars (see _play)
                 bar_value = values[envmod.bar_theta_arm(round_ctx, theta_bar)] if want_rel else None
             value = values[arm]
-            rel = float(bar_value - value) if want_rel else None
+            rel = bar_value - value if want_rel else None
             cos = _cosine_distance(policy.current_theta(), theta_star, theta_star_norm) if want_cos else None
-            yield i, round_ctx.t, arm, y, float(best - value), rel, cos
+            yield i, round_ctx.t, arm, y, best - value, rel, cos
 
-    yield from _records_in_output_order(cfg.policies, cfg.seeds, int(cfg.env_spec["T"]), steps)
+    T = int(cfg.env_spec["T"])
+    yield from _records_in_output_order(cfg.policies, cfg.seeds, T, f"'T' = {T} rounds", steps)
 
 
 # ---------------------------------------------------------------------------
@@ -723,15 +730,15 @@ def run_replay(dataset: ReplayDataset, policy_specs, seeds):
     """
     specs = tuple(policy_specs)
     ctx_fields = dict(d=dataset.d, K=dataset.K, T=dataset.rounds, noise_cov=dataset.noise_covariance(), seeds=len(seeds))
-    row_best = dataset.rewards.max(axis=1)
+    row_best = dataset.rewards.max(axis=1).tolist()
 
     def steps(seed):
         rounds = ((idx + 1, x, idx) for idx, x in enumerate(dataset.contexts))
         # rewards.item(idx, arm) is the logged reward as a Python float
         for i, _, idx, arm, y in _play(specs, seed, ctx_fields, rounds, dataset.rewards.item):
-            yield i, idx + 1, arm, y, float(row_best[idx] - y), None, None
+            yield i, idx + 1, arm, y, row_best[idx] - y, None, None
 
-    yield from _records_in_output_order(specs, seeds, dataset.rounds, steps)
+    yield from _records_in_output_order(specs, seeds, dataset.rounds, f"the replay log's {dataset.rounds} rounds", steps)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +778,7 @@ def run_diagnostics(cfg: RunConfig):
                 raise ConfigError(f"policy {spec.label!r} stopped at round {round_ctx.t} of seed {seed}: the diagnostic sums are not finite")
             if round_ctx.t == checkpoint:
                 checkpoint *= 2
-                norms = (spectral_norm(n1), spectral_norm(n2), float(np.linalg.norm(n3)))
+                norms = (spectral_norm(n1), spectral_norm(n2), math.sqrt(n3.dot(n3)))  # np.linalg.norm(n3)'s arithmetic
                 if not all(map(math.isfinite, norms)):
                     raise ConfigError(f"policy {spec.label!r} stopped at round {round_ctx.t} of seed {seed}: norms {norms} are not finite")
                 yield DiagnosticsRecord(round_ctx.t, spec.label, seed, *norms)

@@ -392,6 +392,19 @@ class TestReplayCommand:
         assert "positive-definite" in capsys.readouterr().err
         assert selected == []
 
+    def test_work_bound_names_the_logs_rounds_not_T(self, tmp_path, capsys):
+        # 2 logged rounds x 1 seed x 10^12 draws x 2 arms x d = 2: over the work bound. The
+        # config's 'T' = 30 plays no part in a replay, so the message names the log's count.
+        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "gradient_linrel", "params": {"mc_samples": 10**12}}], seeds=[0])
+        data = tmp_path / "data.csv"
+        data.write_text(replay_text())
+        out = tmp_path / "o"
+        assert main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "the replay log's 2 rounds x 1 seeds x 'mc_samples' = 1000000000000 draws" in err
+        assert "'T'" not in err
+        assert not out.exists()
+
 
 class TestGradtableCommand:
     def test_writes_two_column_csv(self, tmp_path):

@@ -24,6 +24,7 @@ from bandit_lab.env import (
     reward_noise,
     sample_round,
 )
+from bandit_lab.linalg import gaussian_sampler
 
 
 def make_config(
@@ -151,6 +152,25 @@ class TestNoiseModel:
         rng = np.random.default_rng(5)
         draws = model.sample(rng, 20_000)
         assert np.all(np.linalg.norm(draws, axis=1) <= 1.5)
+
+    @pytest.mark.parametrize(
+        "cov", [np.diag([0.5, 1.0, 2.0]), np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.3], [0.0, 0.3, 0.8]])], ids=["diagonal", "full"]
+    )
+    def test_rejected_rows_redrawn_as_by_a_linalg_norm_loop(self, cov):
+        # A radius near a draw's typical length rejects many rows, some more than once;
+        # sample() must return exactly the rows of the loop written with np.linalg.norm.
+        draw, radius = gaussian_sampler(cov), 1.5
+        rng = np.random.default_rng(11)
+        out = draw(rng, (200, 3))
+        bad = np.linalg.norm(out, axis=1) > radius
+        redraws = 0
+        while np.any(bad):
+            redraws += 1
+            out[bad] = draw(rng, (int(bad.sum()), 3))
+            bad = np.linalg.norm(out, axis=1) > radius
+        assert redraws >= 3
+        model = NoiseModel("per_arm", cov, truncation_radius=radius)
+        assert np.array_equal(model.sample(np.random.default_rng(11), 200), out)
 
     def test_default_radius_six_sigma(self):
         model = NoiseModel("identical", np.diag([0.25, 4.0]))

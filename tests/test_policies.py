@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ class TestNoisyLinRel:
         policy.observe(1, 0, x, y)
         assert np.array_equal(policy.Z, np.outer(x, x) - noise)
         assert np.array_equal(policy.Y, y * x)
+
+    @pytest.mark.parametrize("noise_cov", [[[0.1]], 0.1 * np.eye(3)])
+    def test_noise_covariance_of_another_dimension_rejected(self, noise_cov):
+        # observe would broadcast a 1 x 1 covariance at d = 2 over every entry of Z.
+        message = f"shape {np.shape(noise_cov)}, but d = 2 needs shape (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NoisyLinRel(d=2, noise_cov=noise_cov)
 
     def test_updates_commute(self):
         noise = 0.2 * np.eye(2)
@@ -438,6 +446,10 @@ def _feature_sampler(cfg):
 
 
 class TestRegretGradientLinRel:
+    def test_noise_covariance_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(1, 1\), but d = 2 needs shape \(2, 2\)"):
+            RegretGradientLinRel(2, [[0.1]], keyed_rng(0, 0, 2))
+
     def test_disabled_learning_is_pure_argmax(self):
         cfg = _gaussian_env(seed=20)
         policy = RegretGradientLinRel(

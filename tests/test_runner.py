@@ -24,6 +24,7 @@ from bandit_lab.runner import (
     PolicyContext,
     PolicySpec,
     RunConfig,
+    ReplayDataset,
     RunRecord,
     _chart_series,
     _cosine_distance,
@@ -34,6 +35,7 @@ from bandit_lab.runner import (
     parse_table_config,
     read_records_csv,
     run_diagnostics,
+    run_replay,
     run_simulation,
     write_records_csv,
 )
@@ -345,6 +347,17 @@ class TestDirectNorm:
                 diff = tail[:, 1] - tail[:, 3]
                 assert math.sqrt(diff.dot(diff)) == np.linalg.norm(diff)
 
+    def test_spectral_norm_and_row_norms_equal_linalg_norm(self):
+        # spectral_norm's largest singular value, and the row and column norms of
+        # NoiseModel.sample and RegretGradientLinRel.select, without np.linalg.norm's wrapper
+        rng = np.random.default_rng(19)
+        for shape in ((1, 1), (3, 1), (4, 4), (10, 10), (5, 10)):
+            for scale in (1e-150, 1e-3, 1.0, 1e150):
+                m = scale * rng.standard_normal(shape)
+                assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+                for axis in (0, 1):
+                    assert np.array_equal(np.sqrt(np.add.reduce(m * m, axis=axis)), np.linalg.norm(m, axis=axis))
+
     def test_cosine_distance_unchanged(self):
         rng = np.random.default_rng(23)
         reference = rng.standard_normal(6)
@@ -614,3 +627,97 @@ class TestDiagnostics:
             for rec in records:
                 if rec.seed == seed:
                     assert (rec.norm_n1, rec.norm_n2, rec.norm_n3) == expected[rec.t]
+
+
+def _replay_dataset(rounds, K=5, d=10):
+    rng = np.random.default_rng(31)
+    return ReplayDataset(contexts=rng.standard_normal((rounds, K, d)), rewards=rng.standard_normal((rounds, K)))
+
+
+def _assert_python_numbers(records):
+    for rec in records:
+        assert type(rec.t) is int and type(rec.seed) is int and type(rec.arm) is int
+        assert type(rec.reward) is float and type(rec.inst_regret) is float and type(rec.cum_regret) is float
+        assert rec.rel_regret is None or type(rec.rel_regret) is float
+        assert rec.cos_dist is None or type(rec.cos_dist) is float
+
+
+class TestRecordNumbers:
+    """Every number of a RunRecord is a Python int or float, the type write_records_csv formats fastest."""
+
+    def test_simulation_records(self):
+        records = list(run_simulation(parse_run_config({"environment": PER_ARM_ENV, "policies": ALL_POLICIES, "seeds": [0, 1]})))
+        _assert_python_numbers(records)
+        assert any(rec.rel_regret is not None for rec in records) and any(rec.cos_dist is not None for rec in records)
+
+    def test_replay_records(self):
+        specs = [PolicySpec(name=name) for name in ("uniform", "noisy_linrel", "greedy", "linucb")]
+        specs.append(PolicySpec(name="gradient_linrel", params={"mc_samples": 20}))
+        _assert_python_numbers(list(run_replay(_replay_dataset(12), specs, seeds=[0, 1])))
+
+
+# numpy's module-level wrappers of an array method or a ufunc reduction: each
+# call costs microseconds of argument handling, more than a K=5, d=10 round's
+# arithmetic, so the round loops call the method or the reduction instead.
+WRAPPERS = [(np, "argmax"), (np, "any"), (np, "all"), (np, "sum"), (np, "std"), (np.linalg, "norm")]
+# sim_linear's shape: K=5, d=10, per-arm noise 0.1..1.0, here truncated at a
+# radius that rejects many draws, so the rejection loop runs in most rounds.
+GUARD_ENV = {
+    "K": 5,
+    "d": 10,
+    "reward_noise_sigma": 0.1,
+    "noise": {"mode": "per_arm", "covariance": {"diag": [0.1 * (i + 1) for i in range(10)]}, "truncation_radius": 2.5},
+}
+GUARD_POLICIES = ["uniform", "oracle_cf", "linucb", "noisy_linrel", "greedy"]
+
+
+class TestNoPerRoundWrapperCalls:
+    """Each round loop calls each wrapper as often at T rounds as at 2T: none of them once per round."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for module, name in WRAPPERS:
+            key = f"{module.__name__}.{name}"
+
+            def counted(*args, _wrapped=getattr(module, name), _key=key, **kwargs):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        def count(run, T):
+            counts.clear()
+            run(T)
+            return dict(counts)
+
+        return count
+
+    def sim_config(self, T, policies, mode="per_arm"):
+        env = {**GUARD_ENV, "T": T, "noise": {**GUARD_ENV["noise"], "mode": mode}}
+        return parse_run_config({"environment": env, "policies": policies, "seeds": [0, 1]})
+
+    def test_run_simulation(self, calls):
+        def run(T):
+            assert len(list(run_simulation(self.sim_config(T, GUARD_POLICIES)))) == T * 2 * len(GUARD_POLICIES)
+
+        short = calls(run, 50)
+        assert short == calls(run, 100)
+        assert short  # the per-seed checks of the environment are counted, so the counters work
+
+    def test_run_replay(self, calls):
+        dataset = _replay_dataset(100)
+        specs = [PolicySpec(name="noisy_linrel"), PolicySpec(name="linucb")]
+
+        def run(T):
+            part = ReplayDataset(contexts=dataset.contexts[:T], rewards=dataset.rewards[:T])
+            assert len(list(run_replay(part, specs, seeds=[0, 1]))) == T * 2 * 2
+
+        assert calls(run, 50) == calls(run, 100)
+
+    def test_run_diagnostics(self, calls):
+        def run(T):
+            # one more checkpoint at 2T, so spectral_norm is held to the rule too
+            assert len(list(run_diagnostics(self.sim_config(T, ["noisy_linrel"], mode="identical")))) == 2 * (T.bit_length())
+
+        assert calls(run, 64) == calls(run, 128)
