@@ -55,6 +55,9 @@ def _cmd_run(args) -> list:
 def _cmd_replay(args) -> list:
     cfg = load_run_config(args.config)
     dataset = read_replay_csv(args.data)
+    for key, logged in (("K", dataset.K), ("d", dataset.d), ("T", dataset.rounds)):
+        if cfg.env_spec[key] != logged:
+            raise ConfigError(f"environment {key!r} = {cfg.env_spec[key]} does not match the replay log's {logged}")
     return emit_outputs(run_replay(dataset, cfg.policies, cfg.seeds), args.out)
 
 

@@ -1,8 +1,11 @@
 """Synthetic environment: hidden features, observed noisy features, rewards.
 
-Every random draw is keyed by (seed, round, lane) through a counter-based
-Philox generator, so any round of any configured run can be regenerated
-bitwise-identically in isolation and in any order.
+Every environment draw (a round's contexts and reward noise, theta_star) and
+every policy's own stream is keyed by (seed, round, lane) through a
+counter-based Philox generator, so any round of any configured run can be
+regenerated bitwise-identically in isolation and in any order. Monte-Carlo
+draws, read strictly in order, come from an SFC64 generator seeded by a
+keyed stream (``sfc64_rng``), which draws normals faster.
 """
 
 import math
@@ -32,6 +35,7 @@ __all__ = [
     "reward",
     "reward_noise",
     "sample_round",
+    "sfc64_rng",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -52,6 +56,15 @@ def keyed_rng(seed: int, t: int = 0, lane: int = 0) -> np.random.Generator:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def sfc64_rng(keyed: np.random.Generator) -> np.random.Generator:
+    """SFC64 generator seeded by the next two 64-bit words of a keyed Philox stream.
+
+    For streams read only in order, which need no random access: numpy's
+    SFC64 draws a normal in about a third less time than Philox.
+    """
+    return np.random.Generator(np.random.SFC64(keyed.bit_generator.random_raw(2)))
 
 
 _ZEROS4 = (0, 0, 0, 0)

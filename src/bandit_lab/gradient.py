@@ -249,7 +249,8 @@ def gradient_norm_table(distributions, theta_star_seed: int, noise_cov, cfg: Gra
     distribution the objective gradient is averaged over cfg.feature_samples
     hidden feature sets and evaluated at the closed-form coefficient derived
     from that distribution's analytic covariance. The feature sets and noise
-    come from a second stream of theta_star_seed. Returns a list of
+    of every row come in turn from one SFC64 stream seeded by a second keyed
+    stream of theta_star_seed (env.sfc64_rng). Returns a list of
     (label, l2_norm) pairs.
     """
     from .policies import bayes_optimal_theta
@@ -257,7 +258,7 @@ def gradient_norm_table(distributions, theta_star_seed: int, noise_cov, cfg: Gra
     noise_cov = np.asarray(noise_cov, dtype=float)
     d = noise_cov.shape[0]
     theta_star = envmod.draw_theta_star(d, envmod.keyed_rng(theta_star_seed, 0, envmod.LANE_THETA), max_norm=None)
-    rng = envmod.keyed_rng(theta_star_seed, 1, envmod.LANE_THETA)
+    rng = envmod.sfc64_rng(envmod.keyed_rng(theta_star_seed, 1, envmod.LANE_THETA))
     rows = []
     for label, dist in distributions:
         feature_cov = dist.covariance_matrix(d)

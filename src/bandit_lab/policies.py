@@ -14,6 +14,7 @@ import numbers
 
 import numpy as np
 
+from .env import sfc64_rng
 from .gradient import GradientConfig, regret_gradient
 from .linalg import (
     cutoff_pinv_solve,
@@ -349,7 +350,9 @@ class RegretGradientLinRel(Policy):
     In simulation each step averages the gradient over up to
     GRADIENT_FEATURE_SETS drawn feature sets. With no feature sampler
     (replay mode) the round's observed contexts stand in for the hidden
-    feature draw and for the spread sample.
+    feature draw and for the spread sample. Every draw (spread sample,
+    feature sets, noise) comes in order from the policy's own SFC64 stream,
+    seeded by the construction ``rng``; ``select`` leaves its ``rng`` unread.
     """
 
     name = "gradient_linrel"
@@ -373,6 +376,7 @@ class RegretGradientLinRel(Policy):
         self.estimator = NoisyLinRel(d, noise_cov, alpha_exponent)
         self.noise_draw = gaussian_sampler(noise_cov)  # built once: a bad covariance fails before round 1
         self.feature_sampler = feature_sampler
+        self.mc_rng = sfc64_rng(rng)
         self.step_size = step_size
         self.ucb_coeff = ucb_coeff
         if feature_sampler is None:
@@ -380,7 +384,7 @@ class RegretGradientLinRel(Policy):
             self.spread_sample = None
         else:
             self.feature_sets = max(n for n in range(1, GRADIENT_FEATURE_SETS + 1) if mc_samples % n == 0)
-            self.spread_sample = feature_sampler(rng, SPREAD_FEATURE_SETS).reshape(-1, d)
+            self.spread_sample = feature_sampler(self.mc_rng, SPREAD_FEATURE_SETS).reshape(-1, d)
         self.grad_cfg = GradientConfig(mc_noise_samples=mc_samples // self.feature_sets, fd_step=fd_step)
         self.descent = np.zeros(d)
         self.correction = np.zeros(d)
@@ -396,21 +400,21 @@ class RegretGradientLinRel(Policy):
         eig, k, theta_dagger = self.estimator.estimate(t)
         self.estimator.theta_hat = theta_dagger
         if self.step_size > 0.0 and k > 0:
-            self._step(x, eig, k, theta_dagger, rng, t)
+            self._step(x, eig, k, theta_dagger, t)
         scores = x @ self.theta
         if self.ucb_coeff > 0.0 and k < self.estimator.d:  # at full rank the bonus is 0
             tail = eig.eigenvectors[:, k:].T @ x.T
             scores = scores + self.ucb_coeff * np.sqrt(np.add.reduce(tail * tail, axis=0))  # np.linalg.norm(tail, axis=0)
         return int(scores.argmax())
 
-    def _step(self, x, eig, k, theta_dagger, rng, t) -> None:
+    def _step(self, x, eig, k, theta_dagger, t) -> None:
         """One descent step in the estimate's k kept directions, then the running mean."""
         if self.feature_sampler is None:
             z, spread_sample = x, x
         else:
-            z, spread_sample = self.feature_sampler(rng, self.feature_sets), self.spread_sample
+            z, spread_sample = self.feature_sampler(self.mc_rng, self.feature_sets), self.spread_sample
         spread = float((spread_sample @ theta_dagger).std())
-        grad = regret_gradient(theta_dagger + self.descent, z, theta_dagger, self.noise_draw, self.grad_cfg, rng)
+        grad = regret_gradient(theta_dagger + self.descent, z, theta_dagger, self.noise_draw, self.grad_cfg, self.mc_rng)
         if k < self.estimator.d:
             # The estimate, standing in for the true coefficient, has not
             # learnt the discarded directions, so a gradient along them is

@@ -63,10 +63,10 @@ MAX_ROUNDS = 2**61 - 1
 RECORD_BYTES = 334
 # Score entries (feature sets x noise draws x K x d) a gradient table may
 # evaluate per distribution, and a run's gradient_linrel over all its rounds
-# and seeds. perfbench's gradtable workload evaluates about 1100-1300 feature
-# sets of 25000 entries a reference second, ~3e7 entries, so this is 8-10
-# hours; its sim_gradient workload plays ~740 rounds of 25000, ~1.8e7
-# entries, a reference second, so 15 hours of a run.
+# and seeds. perfbench's gradtable workload evaluates about 1400-1650 feature
+# sets of 25000 entries a reference second, ~4e7 entries, so this is 7-8
+# hours; its sim_gradient workload plays ~930 rounds of 25000, ~2.3e7
+# entries, a reference second, so 12 hours of a run (BENCH_24.json).
 MAX_TABLE_ENTRIES = 10**12
 
 

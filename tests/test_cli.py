@@ -34,6 +34,12 @@ def write_config(path, **overrides):
     return path
 
 
+def replay_config(path, rounds=2, **overrides):
+    """write_config with the environment shaped as a 2-arm, 2-d log of ``rounds`` rounds, which replay requires."""
+    environment = json.loads(write_config(path).read_text())["environment"]
+    return write_config(path, environment={**environment, "K": 2, "T": rounds}, **overrides)
+
+
 def replay_text():
     return (
         "round,arm_index,context_0,context_1,reward\n"
@@ -337,12 +343,23 @@ class TestRunCommand:
 
 class TestReplayCommand:
     def test_replay_runs(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "linucb"}])
+        cfg = replay_config(tmp_path / "cfg.json", policies=[{"name": "linucb"}])
         data = tmp_path / "data.csv"
         data.write_text(replay_text())
         out = tmp_path / "out"
         assert main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("key, value, logged", [("K", 3, 2), ("d", 3, 2), ("T", 30, 2)])
+    def test_environment_unlike_the_log_exits_config(self, tmp_path, capsys, key, value, logged):
+        # Each replayed the log's 2 arms, 2 coordinates and 2 rounds with exit 0, whatever the environment said.
+        cfg = write_config(tmp_path / "cfg.json", environment={"K": 2, "d": 2, "T": 2, key: value})
+        data = tmp_path / "data.csv"
+        data.write_text(replay_text())
+        out = tmp_path / "out"
+        assert main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: environment {key!r} = {value} does not match the replay log's {logged}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_data_exits_data(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -351,7 +368,7 @@ class TestReplayCommand:
         assert main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
 
     def test_oracle_policy_in_replay_exits_config(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "oracle_tc"}])
+        cfg = replay_config(tmp_path / "cfg.json", policies=[{"name": "oracle_tc"}])
         data = tmp_path / "data.csv"
         data.write_text(replay_text())
         assert main(["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -366,10 +383,10 @@ class TestReplayCommand:
             "2,0,0.2,1.0,0.5\n2,1,0.3,1.0,0.1\n"
         )
         args = ["replay", "--data", str(data), "--out", str(tmp_path / "o")]
-        cfg = write_config(tmp_path / "ok.json", policies=["noisy_linrel", "linucb", "greedy"])
+        cfg = replay_config(tmp_path / "ok.json", rounds=3, policies=["noisy_linrel", "linucb", "greedy"])
         assert main(args + ["--config", str(cfg)]) == EXIT_OK
         assert len((tmp_path / "o" / "results.csv").read_text().strip().split("\n")) == 1 + 3 * 2 * 3
-        cfg = write_config(tmp_path / "grad.json", policies=[{"name": "gradient_linrel", "params": {"mc_samples": 20}}])
+        cfg = replay_config(tmp_path / "grad.json", rounds=3, policies=[{"name": "gradient_linrel", "params": {"mc_samples": 20}}])
         assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
         assert "positive-definite" in capsys.readouterr().err
 
@@ -384,7 +401,7 @@ class TestReplayCommand:
             "0,0,1.0,1.0,1.0\n0,1,0.0,1.0,0.2\n"
             "1,0,0.5,1.0,0.3\n1,1,1.0,1.0,0.8\n"
         )
-        cfg = write_config(
+        cfg = replay_config(
             tmp_path / "cfg.json", policies=["noisy_linrel", "linucb", {"name": "gradient_linrel", "params": {"mc_samples": 20}}]
         )
         args = ["replay", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")]
@@ -394,8 +411,8 @@ class TestReplayCommand:
 
     def test_work_bound_names_the_logs_rounds_not_T(self, tmp_path, capsys):
         # 2 logged rounds x 1 seed x 10^12 draws x 2 arms x d = 2: over the work bound. The
-        # config's 'T' = 30 plays no part in a replay, so the message names the log's count.
-        cfg = write_config(tmp_path / "cfg.json", policies=[{"name": "gradient_linrel", "params": {"mc_samples": 10**12}}], seeds=[0])
+        # config's 'T' only has to equal the log's count, so the message names the log's.
+        cfg = replay_config(tmp_path / "cfg.json", policies=[{"name": "gradient_linrel", "params": {"mc_samples": 10**12}}], seeds=[0])
         data = tmp_path / "data.csv"
         data.write_text(replay_text())
         out = tmp_path / "o"
@@ -562,7 +579,7 @@ HUGE_MEAN = {"kind": "iid", "family": {"name": "gaussian", "mean": 1e308}}
         # Logged rewards of +-1e308 in one round: an infinite inst_regret, with exit 0.
         (
             "replay",
-            None,
+            {"K": 2, "d": 2, "T": 3},
             ["uniform", {"name": "scripted", "params": {"arms": [1]}}],
             "round,arm_index,context_0,context_1,reward\n0,0,1.0,0.0,1e308\n0,1,0.0,1.0,-1e308\n"
             "1,0,0.5,0.5,0.3\n1,1,1.0,-1.0,0.8\n2,0,0.2,0.1,0.5\n2,1,0.3,0.4,0.1\n",
@@ -571,7 +588,7 @@ HUGE_MEAN = {"kind": "iid", "family": {"name": "gaussian", "mean": 1e308}}
         # with a RuntimeWarning from matmul.
         (
             "replay",
-            None,
+            {"K": 2, "d": 2, "T": 3},
             ["noisy_linrel"],
             "round,arm_index,context_0,context_1,reward\n0,0,-2.0,0.0,-1e308\n0,1,-2.0,0.1,-1e308\n"
             "1,0,0.5,0.5,0.3\n1,1,1.0,-1.0,0.8\n2,0,0.2,0.1,0.5\n2,1,0.3,0.4,0.1\n",
@@ -588,8 +605,7 @@ HUGE_MEAN = {"kind": "iid", "family": {"name": "gaussian", "mean": 1e308}}
     ids=["run-rewards-overflow", "replay-regret-overflows", "replay-estimate-overflows", "diagnose-sums-overflow"],
 )
 def test_non_finite_values_exit_config_naming_round_and_seed(tmp_path, capsys, command, environment, policies, log):
-    overrides = {} if environment is None else {"environment": environment}
-    cfg = write_config(tmp_path / "cfg.json", policies=policies, seeds=[0], **overrides)
+    cfg = write_config(tmp_path / "cfg.json", environment=environment, policies=policies, seeds=[0])
     out = tmp_path / "out"
     args = [command, "--config", str(cfg), "--out", str(out)]
     if log is not None:
@@ -735,10 +751,11 @@ def command_argv(tmp_path, command, out):
         environment["noise"]["mode"] = "identical"
         cfg = write_config(tmp_path / "cfg.json", environment=environment, policies=["uniform"])
         return ["diagnose", "--config", str(cfg), "--out", str(out)], [out]
-    cfg = write_config(tmp_path / "cfg.json")
     if command == "run":
+        cfg = write_config(tmp_path / "cfg.json")
         charts = [out / f"chart_{metric}.svg" for metric in ("cum_regret", "rel_regret", "cos_dist")]
         return ["run", "--config", str(cfg), "--out", str(out), "--charts"], [out / "results.csv", *charts]
+    cfg = replay_config(tmp_path / "cfg.json")
     (tmp_path / "log.csv").write_text(replay_text())
     return ["replay", "--data", str(tmp_path / "log.csv"), "--config", str(cfg), "--out", str(out)], [out / "results.csv"]
 

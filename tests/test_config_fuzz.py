@@ -1,6 +1,6 @@
 """Property test: a mutated config runs to finite numbers or exits 2, 3 or 4.
 
-Valid run configs (T <= 5, d <= 3, K <= 3, at most two seeds, mc_samples
+Valid run configs (T <= 5, or the log's 6 for replay, d <= 3, K <= 3, at most two seeds, mc_samples
 <= 4) and gradient-table configs (feature_samples and mc_noise_samples
 always present and at most 4, since their defaults are the full release
 table) are generated, and then one value at any depth is mutated. It is
@@ -9,9 +9,10 @@ replaced by a bool, null, a number as a string, a list, an object, 0, -1 or
 number or list may instead be nudged within its type: a float scaled by up
 to 10%, an integer moved by one, a list permuted. Those documents mostly
 stay valid, so the finite-CSV check below runs on more of them. The
-CLI runs in-process on the result: `run`, `diagnose` and `replay` (on a
-fixed 6-round log with K=3, d=3) on a run config, `gradtable` on a table
-config. It must return 0, 2, 3 or 4 without an exception escaping, and
+CLI runs in-process on the result: `run` and `diagnose` on a run config,
+`replay` on a run config whose environment has the shape of a fixed
+6-round log with K=3, d=3 (as replay requires) and on that log, `gradtable`
+on a table config. It must return 0, 2, 3 or 4 without an exception escaping, and
 every number in the CSV it writes must be finite.
 
 The replay log itself is fuzzed too: the text write_replay_csv writes for
@@ -49,6 +50,7 @@ LOG_FIELDS = ["nan", "1e400", "1e308", "-1e308", "text", ""]
 REPLAY_LOG = ReplayDataset(
     contexts=np.random.default_rng(0).standard_normal((6, 3, 3)), rewards=np.random.default_rng(1).uniform(size=(6, 3))
 )
+REPLAY_SHAPE = (REPLAY_LOG.K, REPLAY_LOG.d, REPLAY_LOG.rounds)
 
 FUZZ_SETTINGS = settings(
     derandomize=True,
@@ -112,8 +114,9 @@ def policies(K):
 
 
 @st.composite
-def run_configs(draw):
-    K, d, T = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+def run_configs(draw, shape=None):
+    """A valid run config; its environment's (K, d, T) is ``shape`` when given."""
+    K, d, T = shape or (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5)))
     diag = draw(st.lists(unit(0.1, 1), min_size=d, max_size=d))
     matrix = [[diag[i] if i == j else 0.0 for j in range(d)] for i in range(d)]
     noise = {"mode": draw(st.sampled_from(["per_arm", "identical"])), "covariance": draw(st.sampled_from([{"diag": diag}, matrix]))}
@@ -247,7 +250,7 @@ def test_mutated_diagnose_config_runs_or_exits_with_a_code(doc):
 
 
 @FUZZ_SETTINGS
-@given(mutated(run_configs()))
+@given(mutated(run_configs(REPLAY_SHAPE)))
 def test_mutated_replay_config_runs_or_exits_with_a_code(doc):
     run_cli("replay", doc, "out", {1}, replay_log=REPLAY_LOG)
 
@@ -261,7 +264,7 @@ def test_mutated_table_config_runs_or_exits_with_a_code(doc):
 @st.composite
 def replay_cases(draw):
     """A run config, and the bytes of REPLAY_LOG's CSV text with one mutation (see the module docstring)."""
-    doc = draw(run_configs())
+    doc = draw(run_configs(REPLAY_SHAPE))
     with tempfile.TemporaryDirectory() as tmp:
         write_replay_csv(Path(tmp) / "log.csv", REPLAY_LOG)
         lines = (Path(tmp) / "log.csv").read_text(encoding="utf-8").splitlines(keepends=True)

@@ -73,14 +73,14 @@ PER_ARM_ENV = {
 }
 
 EXPECTED = {
-    "simulation_identical": "b8fc57e39d9ca274d8c13ca5ba057982f26bf365f7f1fa03a0331a89c5344221",
-    "simulation_per_arm": "dd19ad6ca1dac298584ff98f952bcc08fbbc8244f2676963636e1fe38daf8870",
-    "replay": "c9a5b5bb8a0c2b5b6a9872b7070a31d7bdc4d76cf1f5301722ae40d9d8fa7476",
+    "simulation_identical": "e2783cbc38daab98e92745327c9fe17dde0d3e171c52642300a4dcb32d9bbe9c",
+    "simulation_per_arm": "2ade9709d8f61e8e57414da61cf175ed265ae2e94b4d0877601b8f7dd82195b6",
+    "replay": "17ebdf56dfcb9389a35cfcb42e8e6756d79e5b5cf3f0860dfa98796e106ea602",
     "diagnostics": "0ee9a71d297b0be6d534605c92e5ea6bf76e6a7ae2cbf38b5f5089c1b74c5cdc",
-    "replay_full_rank": "b8ee9eb3a1e512407dc578996b50a0e263b873d522442ba712c2b86add615aff",
+    "replay_full_rank": "4ab579521355ad1e90fd4d90931503b60a812cde6235bbf6397915905bf4442d",
     "diagnostics_full_rank_noisy_linrel": "6c19ce0f0c4e14978b264159c91a61afbcc32f4aac5fb49e44c33bfeaeaa88a6",
-    "diagnostics_full_rank_gradient_linrel": "adc359da54965a078326f4b022b9fcd2dd5555551363d0e5eb3b294c847910d7",
-    "gradtable": "1056704bf2392179e69c70ae86603dc2ce4b124ebce3122b35d36e58d81c82ca",
+    "diagnostics_full_rank_gradient_linrel": "d12bc642c1d045efa5a91afe6e16ebfb54410c535654c83cefab40edf00f085c",
+    "gradtable": "5b2d7e04d8425546062f135aec31f77a90e15e7ec5831b625269955c5daa9bae",
 }
 
 # Every named distribution of `bandit-lab gradtable`, at d = 4, K = 3 and

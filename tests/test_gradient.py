@@ -6,9 +6,12 @@ import pytest
 
 from bandit_lab import gradient as gradient_module
 from bandit_lab.env import (
+    LANE_THETA,
     Family,
     FeatureDistribution,
+    draw_theta_star,
     keyed_rng,
+    sfc64_rng,
 )
 from bandit_lab.gradient import (
     GradientConfig,
@@ -360,6 +363,25 @@ class TestGradientNormTable:
         assert [label for label, _ in rows] == ["gaussian", "lognormal"]
         by_label = dict(rows)
         assert by_label["gaussian"] < by_label["lognormal"]
+
+    def test_rows_follow_one_sfc64_stream_of_the_seed(self):
+        # theta_star comes from the seed's keyed stream 0; every row's feature
+        # sets and noise, in turn, from the SFC64 stream seeded by keyed stream 1.
+        d, k, seed = 3, 4, 7
+        noise_cov = np.diag([0.2, 0.1, 0.3])
+        distributions = [
+            ("gaussian", FeatureDistribution.iid(Family("gaussian"))),
+            ("exponential", FeatureDistribution.iid(Family("exponential"))),
+        ]
+        cfg = GradientConfig(mc_noise_samples=30, feature_samples=50)
+        theta_star = draw_theta_star(d, keyed_rng(seed, 0, LANE_THETA), max_norm=None)
+        rng = sfc64_rng(keyed_rng(seed, 1, LANE_THETA))
+        expected = []
+        for label, dist in distributions:
+            theta_bar = bayes_optimal_theta(dist.covariance_matrix(d), noise_cov, theta_star)
+            grad = averaged_gradient(theta_bar, theta_star, noise_cov, arm_set_sampler(dist, k, d), cfg, rng)
+            expected.append((label, float(np.linalg.norm(grad))))
+        assert gradient_norm_table(distributions, seed, noise_cov, cfg, k_arms=k) == expected
 
     def test_uniform_row_stays_small(self):
         # symmetric uni-modal features keep the closed form near-optimal

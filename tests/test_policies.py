@@ -12,8 +12,10 @@ from bandit_lab.env import (
     keyed_rng,
     reward,
     sample_round,
+    sfc64_rng,
 )
 from bandit_lab.policies import (
+    SPREAD_FEATURE_SETS,
     ExploreThenCommitGreedy,
     FixedCoefficient,
     LinUCB,
@@ -445,7 +447,39 @@ def _feature_sampler(cfg):
     return sampler
 
 
+class _Unread:
+    """A stand-in for the per-round generator that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the per-round rng was read ({name})")
+
+
 class TestRegretGradientLinRel:
+    @pytest.mark.parametrize("sampler", [True, False], ids=["simulation", "replay"])
+    def test_draws_only_from_its_own_stream(self, sampler):
+        # Every draw comes from the SFC64 stream seeded by the construction
+        # rng, so the generator handed to select is never read and changes nothing.
+        cfg = _gaussian_env(seed=26, T=60)
+
+        def build():
+            feature_sampler = _feature_sampler(cfg) if sampler else None
+            return RegretGradientLinRel(cfg.d, cfg.noise.covariance, keyed_rng(26, 0, 2), feature_sampler=feature_sampler, mc_samples=20)
+
+        a, b = build(), build()
+        if sampler:
+            spread = _feature_sampler(cfg)(sfc64_rng(keyed_rng(26, 0, 2)), SPREAD_FEATURE_SETS).reshape(-1, cfg.d)
+            assert np.array_equal(a.spread_sample, spread)
+        rng = keyed_rng(27)
+        for t in range(1, cfg.T + 1):
+            ctx = sample_round(cfg, t)
+            arm = a.select(t, ctx.x, rng)
+            assert b.select(t, ctx.x, _Unread()) == arm
+            assert np.array_equal(a.descent, b.descent) and np.array_equal(a.correction, b.correction)
+            y = reward(cfg, ctx, arm)
+            a.observe(t, arm, ctx.x[arm], y)
+            b.observe(t, arm, ctx.x[arm], y)
+        assert a.gradient_steps > 0 and np.any(a.correction != 0.0)
+
     def test_noise_covariance_of_another_dimension_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(1, 1\), but d = 2 needs shape \(2, 2\)"):
             RegretGradientLinRel(2, [[0.1]], keyed_rng(0, 0, 2))
